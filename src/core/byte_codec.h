@@ -13,8 +13,8 @@
 namespace tara {
 namespace codec {
 
-/// The shared byte-level codec of the TARA persistence formats (TARAKB2
-/// manifests/segments, TARAKB3 block manifests, the write-ahead log):
+/// The shared byte-level codec of the TARA persistence formats (window
+/// segments, TARAKB3 block manifests, the write-ahead log):
 /// integers are LEB128 varints, doubles and checksums are 8-byte
 /// little-endian, itemsets are delta-encoded sorted item ids.
 

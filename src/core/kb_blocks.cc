@@ -339,6 +339,23 @@ std::optional<LoadError> RemoveFile(const std::filesystem::path& path) {
   return std::nullopt;
 }
 
+/// Refuses a directory an older build left in the TARAKB2 layout
+/// (`manifest.tarakb` plus one segment file per window, no blocks
+/// manifest). Opening it as empty, or saving a fresh knowledge base
+/// over it, would silently drop its checkpointed windows.
+std::optional<LoadError> RefuseLegacyLayout(const std::filesystem::path& root) {
+  std::error_code ec;
+  if (std::filesystem::exists(root / kBlocksManifestFile, ec) ||
+      !std::filesystem::exists(root / "manifest.tarakb", ec)) {
+    return std::nullopt;
+  }
+  return Err(LoadError::Code::kBadVersion,
+             root.string() +
+                 " holds a TARAKB2 knowledge base (manifest.tarakb), a "
+                 "format this build no longer reads; rebuild it as TARAKB3 "
+                 "from its source data");
+}
+
 }  // namespace
 
 uint32_t KbBlocksManifest::window_count() const {
@@ -372,6 +389,7 @@ bool KnowledgeBaseBlocksDirExists(const std::string& dir) {
 Expected<KbBlocksManifest, LoadError> ReadKnowledgeBaseBlocksManifest(
     const std::string& dir) {
   const std::filesystem::path root(dir);
+  if (auto error = RefuseLegacyLayout(root)) return *std::move(error);
   std::vector<uint8_t> bytes;
   if (auto error =
           internal::ReadFileBytes(root / kBlocksManifestFile, &bytes)) {
@@ -414,6 +432,7 @@ std::optional<LoadError> SaveKnowledgeBaseBlocks(
 std::optional<LoadError> AppendKnowledgeBaseBlocks(
     const KnowledgeBaseSnapshot& snapshot, const std::string& dir,
     uint64_t block_bytes) {
+  if (auto error = RefuseLegacyLayout(dir)) return error;
   if (!KnowledgeBaseBlocksDirExists(dir)) {
     return SaveKnowledgeBaseBlocks(snapshot, dir, block_bytes);
   }
@@ -443,84 +462,31 @@ std::optional<LoadError> AppendKnowledgeBaseBlocks(
   return WriteBlocksManifest(root, manifest.value());
 }
 
-std::optional<LoadError> CheckpointKnowledgeBaseDir(
-    const KnowledgeBaseSnapshot& snapshot, const std::string& dir) {
-  if (KnowledgeBaseBlocksDirExists(dir)) {
-    return AppendKnowledgeBaseBlocks(snapshot, dir);
-  }
-  return AppendKnowledgeBaseDir(snapshot, dir);
-}
-
 std::optional<LoadError> RepartitionKnowledgeBase(const std::string& dir,
                                                   uint64_t block_bytes) {
   const std::filesystem::path root(dir);
-  std::vector<std::filesystem::path> orphans;
-  std::vector<PackInput> inputs;
-  KbBlocksManifest updated;
+  auto opened = MappedKb::Open(dir);
+  if (!opened.has_value()) return opened.error();
+  // The mapping keeps the old blocks' bytes alive through the pack.
+  std::optional<MappedKb> mapped(std::move(opened.value()));
+  const KbBlocksManifest& manifest = mapped->manifest();
+  KbBlocksManifest updated = manifest;
+  updated.blocks.clear();
   uint64_t next_index = 0;
-
-  // Both sources keep their bytes alive through the pack: the mapped
-  // blocks via `mapped`, the KB2 segment files via `storage`.
-  std::optional<MappedKb> mapped;
-  std::vector<std::vector<uint8_t>> storage;
-
-  if (KnowledgeBaseBlocksDirExists(dir)) {
-    auto opened = MappedKb::Open(dir);
-    if (!opened.has_value()) return opened.error();
-    mapped.emplace(std::move(opened.value()));
-    const KbBlocksManifest& manifest = mapped->manifest();
-    updated = manifest;
-    updated.blocks.clear();
-    for (const KbBlockInfo& block : manifest.blocks) {
-      next_index = std::max(next_index, block.file_index + 1);
-      orphans.push_back(root / KnowledgeBaseBlockFileName(block.file_index));
-    }
-    for (WindowId w = 0; w < mapped->window_count(); ++w) {
-      const SegmentView view = mapped->segment(w);
-      PackInput in;
-      in.row = *view.row;
-      in.data = view.data;
-      in.size = view.size;
-      inputs.push_back(in);
-    }
-  } else if (KnowledgeBaseDirExists(dir)) {
-    auto manifest = ReadKnowledgeBaseDirManifest(dir);
-    if (!manifest.has_value()) return manifest.error();
-    updated.min_support_floor = manifest->min_support_floor;
-    updated.min_confidence_floor = manifest->min_confidence_floor;
-    updated.max_itemset_size = manifest->max_itemset_size;
-    updated.build_content_index = manifest->build_content_index;
-    orphans.push_back(root / KnowledgeBaseManifestFileName());
-    for (size_t w = 0; w < manifest->rows.size(); ++w) {
-      const KbManifestRow& row = manifest->rows[w];
-      const std::filesystem::path path =
-          root / KnowledgeBaseSegmentFileName(static_cast<WindowId>(w));
-      orphans.push_back(path);
-      storage.emplace_back();
-      if (auto error = internal::ReadFileBytes(path, &storage.back())) {
-        return error;
-      }
-      const std::vector<uint8_t>& blob = storage.back();
-      if (blob.size() != row.segment_bytes ||
-          HashBytes(blob.data(), blob.size()) != row.segment_hash) {
-        std::ostringstream message;
-        message << path.string()
-                << " does not match its manifest row (size or checksum) — "
-                   "refusing to repartition a corrupt knowledge base";
-        return Err(LoadError::Code::kCorruptSegment, message.str());
-      }
-      PackInput in;
-      in.row.total_transactions = row.total_transactions;
-      in.row.rule_watermark = row.rule_watermark;
-      in.row.entry_count = row.entry_count;
-      in.row.segment_hash = row.segment_hash;
-      in.data = blob.data();
-      in.size = blob.size();
-      inputs.push_back(in);
-    }
-  } else {
-    return Err(LoadError::Code::kIoError,
-               "no knowledge base (TARAKB2 or TARAKB3) in " + dir);
+  std::vector<std::filesystem::path> orphans;
+  for (const KbBlockInfo& block : manifest.blocks) {
+    next_index = std::max(next_index, block.file_index + 1);
+    orphans.push_back(root / KnowledgeBaseBlockFileName(block.file_index));
+  }
+  std::vector<PackInput> inputs;
+  inputs.reserve(mapped->window_count());
+  for (WindowId w = 0; w < mapped->window_count(); ++w) {
+    const SegmentView view = mapped->segment(w);
+    PackInput in;
+    in.row = *view.row;
+    in.data = view.data;
+    in.size = view.size;
+    inputs.push_back(in);
   }
 
   if (auto error = WritePackedBlocks(inputs, 0, next_index, block_bytes, root,
@@ -542,131 +508,75 @@ std::optional<LoadError> RepartitionKnowledgeBase(const std::string& dir,
 std::optional<LoadError> TrimKnowledgeBase(const std::string& dir,
                                            uint32_t window_count) {
   const std::filesystem::path root(dir);
-  if (KnowledgeBaseBlocksDirExists(dir)) {
-    auto manifest = ReadKnowledgeBaseBlocksManifest(dir);
-    if (!manifest.has_value()) return manifest.error();
-    if (window_count > manifest->window_count()) {
-      std::ostringstream message;
-      message << "cannot trim to " << window_count << " windows; only "
-              << manifest->window_count() << " exist";
-      return Err(LoadError::Code::kBadManifest, message.str());
-    }
-    if (window_count == manifest->window_count()) return std::nullopt;
-
-    uint64_t next_index = 0;
-    for (const KbBlockInfo& block : manifest->blocks) {
-      next_index = std::max(next_index, block.file_index + 1);
-    }
-    KbBlocksManifest updated = manifest.value();
-    updated.blocks.clear();
-    std::vector<std::filesystem::path> orphans;
-    for (const KbBlockInfo& block : manifest->blocks) {
-      const std::filesystem::path path =
-          root / KnowledgeBaseBlockFileName(block.file_index);
-      if (block.first_window + block.rows.size() <= window_count) {
-        updated.blocks.push_back(block);  // fully kept, file untouched
-        continue;
-      }
-      orphans.push_back(path);
-      if (block.first_window >= window_count) continue;  // fully dropped
-      // The block straddles the cut: byte-copy the kept prefix into a
-      // fresh-indexed file (offsets inside it are unchanged).
-      const size_t keep_rows = window_count - block.first_window;
-      std::vector<uint8_t> bytes;
-      if (auto error = internal::ReadFileBytes(path, &bytes)) return error;
-      if (bytes.size() != block.file_bytes) {
-        std::ostringstream message;
-        message << path.string() << " is " << bytes.size()
-                << " bytes but the manifest promises " << block.file_bytes;
-        return Err(LoadError::Code::kCorruptSegment, message.str());
-      }
-      const KbBlockRow& last = block.rows[keep_rows - 1];
-      bytes.resize(last.offset + last.segment_bytes);
-      KbBlockInfo partial;
-      partial.file_index = next_index++;
-      partial.first_window = block.first_window;
-      partial.file_bytes = bytes.size();
-      partial.file_hash = HashBytes(bytes.data(), bytes.size());
-      partial.rows.assign(block.rows.begin(),
-                          block.rows.begin() + keep_rows);
-      if (auto error = internal::AtomicWriteFileBytes(
-              root / KnowledgeBaseBlockFileName(partial.file_index), bytes)) {
-        return error;
-      }
-      updated.blocks.push_back(std::move(partial));
-    }
-    if (auto error = WriteBlocksManifest(root, updated)) return error;
-    for (const std::filesystem::path& orphan : orphans) {
-      if (auto error = RemoveFile(orphan)) return error;
-    }
-    return std::nullopt;
+  auto manifest = ReadKnowledgeBaseBlocksManifest(dir);
+  if (!manifest.has_value()) return manifest.error();
+  if (window_count > manifest->window_count()) {
+    std::ostringstream message;
+    message << "cannot trim to " << window_count << " windows; only "
+            << manifest->window_count() << " exist";
+    return Err(LoadError::Code::kBadManifest, message.str());
   }
+  if (window_count == manifest->window_count()) return std::nullopt;
 
-  if (KnowledgeBaseDirExists(dir)) {
-    auto manifest = ReadKnowledgeBaseDirManifest(dir);
-    if (!manifest.has_value()) return manifest.error();
-    if (window_count > manifest->rows.size()) {
-      std::ostringstream message;
-      message << "cannot trim to " << window_count << " windows; only "
-              << manifest->rows.size() << " exist";
-      return Err(LoadError::Code::kBadManifest, message.str());
+  uint64_t next_index = 0;
+  for (const KbBlockInfo& block : manifest->blocks) {
+    next_index = std::max(next_index, block.file_index + 1);
+  }
+  KbBlocksManifest updated = manifest.value();
+  updated.blocks.clear();
+  std::vector<std::filesystem::path> orphans;
+  for (const KbBlockInfo& block : manifest->blocks) {
+    const std::filesystem::path path =
+        root / KnowledgeBaseBlockFileName(block.file_index);
+    if (block.first_window + block.rows.size() <= window_count) {
+      updated.blocks.push_back(block);  // fully kept, file untouched
+      continue;
     }
-    if (window_count == manifest->rows.size()) return std::nullopt;
-    const size_t old_count = manifest->rows.size();
-    KbManifest updated = manifest.value();
-    updated.rows.resize(window_count);
-    if (auto error = internal::WriteKnowledgeBaseDirManifest(dir, updated)) {
+    orphans.push_back(path);
+    if (block.first_window >= window_count) continue;  // fully dropped
+    // The block straddles the cut: byte-copy the kept prefix into a
+    // fresh-indexed file (offsets inside it are unchanged).
+    const size_t keep_rows = window_count - block.first_window;
+    std::vector<uint8_t> bytes;
+    if (auto error = internal::ReadFileBytes(path, &bytes)) return error;
+    if (bytes.size() != block.file_bytes) {
+      std::ostringstream message;
+      message << path.string() << " is " << bytes.size()
+              << " bytes but the manifest promises " << block.file_bytes;
+      return Err(LoadError::Code::kCorruptSegment, message.str());
+    }
+    const KbBlockRow& last = block.rows[keep_rows - 1];
+    bytes.resize(last.offset + last.segment_bytes);
+    KbBlockInfo partial;
+    partial.file_index = next_index++;
+    partial.first_window = block.first_window;
+    partial.file_bytes = bytes.size();
+    partial.file_hash = HashBytes(bytes.data(), bytes.size());
+    partial.rows.assign(block.rows.begin(), block.rows.begin() + keep_rows);
+    if (auto error = internal::AtomicWriteFileBytes(
+            root / KnowledgeBaseBlockFileName(partial.file_index), bytes)) {
       return error;
     }
-    for (size_t w = window_count; w < old_count; ++w) {
-      if (auto error = RemoveFile(
-              root /
-              KnowledgeBaseSegmentFileName(static_cast<WindowId>(w)))) {
-        return error;
-      }
-    }
-    return std::nullopt;
+    updated.blocks.push_back(std::move(partial));
   }
-
-  return Err(LoadError::Code::kIoError,
-             "no knowledge base (TARAKB2 or TARAKB3) in " + dir);
+  if (auto error = WriteBlocksManifest(root, updated)) return error;
+  for (const std::filesystem::path& orphan : orphans) {
+    if (auto error = RemoveFile(orphan)) return error;
+  }
+  return std::nullopt;
 }
 
 std::optional<LoadError> RemoveKnowledgeBase(const std::string& dir) {
   const std::filesystem::path root(dir);
-  bool found = false;
-  if (KnowledgeBaseBlocksDirExists(dir)) {
-    found = true;
-    auto manifest = ReadKnowledgeBaseBlocksManifest(dir);
-    if (!manifest.has_value()) return manifest.error();
-    for (const KbBlockInfo& block : manifest->blocks) {
-      if (auto error = RemoveFile(
-              root / KnowledgeBaseBlockFileName(block.file_index))) {
-        return error;
-      }
-    }
-    if (auto error = RemoveFile(root / kBlocksManifestFile)) return error;
-  }
-  if (KnowledgeBaseDirExists(dir)) {
-    found = true;
-    auto manifest = ReadKnowledgeBaseDirManifest(dir);
-    if (!manifest.has_value()) return manifest.error();
-    for (size_t w = 0; w < manifest->rows.size(); ++w) {
-      if (auto error = RemoveFile(
-              root /
-              KnowledgeBaseSegmentFileName(static_cast<WindowId>(w)))) {
-        return error;
-      }
-    }
-    if (auto error = RemoveFile(root / KnowledgeBaseManifestFileName())) {
+  auto manifest = ReadKnowledgeBaseBlocksManifest(dir);
+  if (!manifest.has_value()) return manifest.error();
+  for (const KbBlockInfo& block : manifest->blocks) {
+    if (auto error =
+            RemoveFile(root / KnowledgeBaseBlockFileName(block.file_index))) {
       return error;
     }
   }
-  if (!found) {
-    return Err(LoadError::Code::kIoError,
-               "no knowledge base (TARAKB2 or TARAKB3) in " + dir);
-  }
-  return std::nullopt;
+  return RemoveFile(root / kBlocksManifestFile);
 }
 
 Expected<MappedKb, LoadError> MappedKb::Open(const std::string& dir) {

@@ -15,36 +15,37 @@
 
 namespace tara {
 
-/// Block-partitioned knowledge-base persistence (format TARAKB3).
+/// Block-partitioned knowledge-base persistence (format TARAKB3) — the
+/// one on-disk form of a TARA knowledge base.
 ///
-/// TARAKB2 (kb_storage.h) stores one small file per window, which makes
-/// opening a many-window knowledge base O(windows) file opens and — with
-/// the eager loader — O(total bytes) reads before the first query runs.
-/// TARAKB3 packs the SAME per-window segment blobs (byte-identical to
-/// what EncodeWindowSegment produces and the WAL carries) into a few
-/// balanced **block files**, each covering a contiguous window range:
+/// The per-window segment blobs (kb_storage.h — byte-identical to what
+/// EncodeWindowSegment produces and the WAL carries) are packed into a
+/// few balanced **block files**, each covering a contiguous window range:
 ///
 ///   <dir>/blocks.tarakb3        the blocks manifest
 ///   <dir>/block-NNNNNN.blk      segment blobs at 64-byte-aligned offsets
 ///
-/// The manifest names each block by an explicit `file_index` (the NNNNNN
-/// in its name), its window span, byte size, and whole-file hash, plus
-/// per-window rows mirroring the TARAKB2 manifest (transaction count,
-/// rule watermark, entry count) extended with the segment's offset inside
-/// the block. Explicit file indices make every rewrite (split, trim,
-/// checkpoint-merge) crash-safe: new content always lands in
-/// fresh-indexed files, the manifest swaps atomically, and orphans are
-/// deleted only afterwards — a crash at any instant leaves a manifest
-/// whose named files are all fully in place.
+/// The manifest holds the serialized construction options and names each
+/// block by an explicit `file_index` (the NNNNNN in its name), its window
+/// span, byte size, and whole-file hash, plus one row per window
+/// (transaction count, rule watermark, entry count, and the segment's
+/// offset, size and hash inside the block). Explicit file indices make
+/// every rewrite (split, trim, checkpoint-append) crash-safe: new content
+/// always lands in fresh-indexed files, the manifest swaps atomically,
+/// and orphans are deleted only afterwards — a crash at any instant
+/// leaves a manifest whose named files are all fully in place.
 ///
 /// Because segments sit at stable offsets in a handful of files, a
 /// knowledge base can be **memory-mapped** (MappedKb): open cost is
 /// O(blocks) mmap calls regardless of window count, and no segment
 /// payload byte is read until a query needs that window — the zero-copy
-/// half of OpenKnowledgeBase's OpenMode::kMapped. The eager loader and
-/// the block writer keep using the TARAKB2 codec underneath, so the two
-/// formats hold bit-identical segment blobs and interconvert by byte
-/// copy, without decoding a single segment (RepartitionKnowledgeBase).
+/// half of OpenKnowledgeBase's OpenMode::kMapped. Rebalancing
+/// (RepartitionKnowledgeBase) is a byte copy that decodes no segment.
+///
+/// A directory holding only a TARAKB2 manifest (`manifest.tarakb`, one
+/// segment file per window) was written by an older build. Every entry
+/// point here refuses it with LoadError::Code::kBadVersion rather than
+/// treating it as empty.
 
 /// Default target block size for the balanced partitioner.
 inline constexpr uint64_t kDefaultBlockBytes = 4ull * 1024 * 1024;
@@ -53,8 +54,8 @@ inline constexpr uint64_t kDefaultBlockBytes = 4ull * 1024 * 1024;
 /// in between), so decode-on-access never straddles an unaligned load.
 inline constexpr uint64_t kBlockSegmentAlignment = 64;
 
-/// Per-window row of the blocks manifest: the TARAKB2 manifest row plus
-/// the segment's byte offset inside its block file.
+/// Per-window row of the blocks manifest: the window's counts plus where
+/// its segment sits inside its block file.
 struct KbBlockRow {
   uint64_t total_transactions = 0;
   uint64_t rule_watermark = 0;
@@ -111,45 +112,34 @@ std::optional<LoadError> SaveKnowledgeBaseBlocks(
     const KnowledgeBaseSnapshot& snapshot, const std::string& dir,
     uint64_t block_bytes = kDefaultBlockBytes);
 
-/// Incremental TARAKB3 save: verifies the manifest in `dir` describes a
-/// prefix of `snapshot`'s windows, then packs only the NEW windows into
+/// Incremental TARAKB3 save — the checkpoint step of serving, `wal
+/// recover` and the CLI session: verifies the manifest in `dir` describes
+/// a prefix of `snapshot`'s windows, then packs only the NEW windows into
 /// fresh-indexed block files. Existing blocks are never rewritten, so
 /// checkpoint cadence determines the tail blocks' sizes — run
 /// RepartitionKnowledgeBase (`db split`) to rebalance. Falls back to
-/// SaveKnowledgeBaseBlocks when `dir` has no blocks manifest yet.
+/// SaveKnowledgeBaseBlocks when `dir` holds no knowledge base yet.
 std::optional<LoadError> AppendKnowledgeBaseBlocks(
     const KnowledgeBaseSnapshot& snapshot, const std::string& dir,
     uint64_t block_bytes = kDefaultBlockBytes);
 
-/// The format-dispatching checkpoint step used by serving and the CLI:
-/// appends `snapshot`'s new windows to whichever format `dir` already
-/// holds — TARAKB3 when a blocks manifest exists, TARAKB2 otherwise
-/// (including fresh directories, so plain checkpoints stay byte-stable
-/// across checkpoint cadences; opt into blocks with `db split` or
-/// SaveKnowledgeBaseBlocks).
-std::optional<LoadError> CheckpointKnowledgeBaseDir(
-    const KnowledgeBaseSnapshot& snapshot, const std::string& dir);
-
-/// Repartitions `dir` into balanced TARAKB3 blocks of about
-/// `block_bytes` (`db split`). Works on either format — a TARAKB2
-/// directory is converted (its manifest and segment files are removed
-/// once the blocks manifest is durable), a TARAKB3 directory is
-/// rebalanced into fresh-indexed files. Pure byte-level copy: no segment
-/// is decoded.
+/// Rebalances `dir` into TARAKB3 blocks of about `block_bytes` (`db
+/// split`), written to fresh-indexed files; the old block files are
+/// removed once the new manifest is durable. Pure byte-level copy: no
+/// segment is decoded.
 std::optional<LoadError> RepartitionKnowledgeBase(
     const std::string& dir, uint64_t block_bytes = kDefaultBlockBytes);
 
 /// Truncates the knowledge base in `dir` to its first `window_count`
-/// windows (`db trim`), either format. File-level: kept blocks are
+/// windows (`db trim`). File-level: kept blocks are
 /// untouched; a block straddling the cut is rewritten (byte copy) into a
 /// fresh-indexed file. Trimming to more windows than exist is an error.
 std::optional<LoadError> TrimKnowledgeBase(const std::string& dir,
                                            uint32_t window_count);
 
-/// Deletes every file named by the manifest(s) in `dir`, then the
-/// manifest(s) themselves (`db rm`). The directory itself is left in
-/// place; files the manifests do not name (a WAL, stray .tmp files) are
-/// not touched.
+/// Deletes every file named by the manifest in `dir`, then the manifest
+/// itself (`db rm`). The directory itself is left in place; files the
+/// manifest does not name (a WAL, stray .tmp files) are not touched.
 std::optional<LoadError> RemoveKnowledgeBase(const std::string& dir);
 
 /// A non-owning view of one window's segment blob inside a mapped block

@@ -92,7 +92,7 @@ class KbBuilder {
 
   /// Resets the attached log to just its header (no-op without one).
   /// Call only after the logged windows became durable elsewhere —
-  /// i.e. right after a successful AppendKnowledgeBaseDir checkpoint.
+  /// i.e. right after a successful AppendKnowledgeBaseBlocks checkpoint.
   std::optional<LoadError> TruncateWal();
 
   /// True once AttachWal has succeeded (or Options::wal_dir was set).

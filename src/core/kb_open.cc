@@ -1,19 +1,19 @@
 #include "core/kb_open.h"
 
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 
 #include "common/thread_pool.h"
 #include "core/kb_blocks.h"
-#include "core/kb_storage.h"
 
 namespace tara {
 
 Expected<TaraEngine, LoadError> OpenKnowledgeBase(const OpenOptions& options) {
-  if (KnowledgeBaseBlocksDirExists(options.kb_dir)) {
-    auto mapped = MappedKb::Open(options.kb_dir);
-    if (!mapped.has_value()) return mapped.error();
+  std::optional<TaraEngine> engine;
+  auto mapped = MappedKb::Open(options.kb_dir);
+  if (mapped.has_value()) {
     const uint32_t parallelism =
         options.parallelism == 0 ? std::thread::hardware_concurrency()
                                  : options.parallelism;
@@ -35,42 +35,44 @@ Expected<TaraEngine, LoadError> OpenKnowledgeBase(const OpenOptions& options) {
     engine_options.metrics = options.metrics;
     engine_options.parallelism = options.parallelism;
     engine_options.query_cache_bytes = options.query_cache_bytes;
-    TaraEngine engine(engine_options);
+    engine.emplace(engine_options);
 
     // WAL replay appends windows, which requires the full catalog — a
     // mapped open with recovery materializes everything up front.
     const bool eager =
         options.mode == OpenMode::kEager || !options.wal_dir.empty();
-    if (auto error = engine.AttachMappedKb(
+    if (auto error = engine->AttachMappedKb(
             std::make_shared<const MappedKb>(std::move(mapped.value())),
             eager)) {
       return *error;
     }
-    if (!options.wal_dir.empty()) {
-      auto replayed = engine.AttachWal(options.wal_dir);
-      if (!replayed.has_value()) return replayed.error();
-      if (options.replay_stats != nullptr) {
-        *options.replay_stats = replayed.value();
-      }
-    }
-    return engine;
+  } else if (!options.wal_dir.empty() &&
+             mapped.error().code == LoadError::Code::kIoError &&
+             !KnowledgeBaseBlocksDirExists(options.kb_dir)) {
+    // No checkpoint yet: the crash happened before the first save. The
+    // WAL header carries the construction options, so the whole engine
+    // rebuilds from the log alone. Only a missing blocks manifest gets
+    // here — a leftover TARAKB2 directory is kBadVersion, and rebuilding
+    // over it would silently drop its checkpointed windows.
+    auto contents = ReadWal(options.wal_dir);
+    if (!contents.has_value()) return contents.error();
+    KbOptions engine_options = contents->options;
+    engine_options.metrics = options.metrics;
+    engine_options.parallelism = options.parallelism;
+    engine_options.query_cache_bytes = options.query_cache_bytes;
+    engine.emplace(engine_options);
+  } else {
+    return mapped.error();
   }
 
-  // TARAKB2 (or no checkpoint at all, rebuilding from the WAL alone).
-  // kMapped has no TARAKB2 implementation — the open falls back to eager;
-  // convert with `db split` / RepartitionKnowledgeBase to get mapped
-  // opens.
-  Expected<TaraEngine, LoadError> result =
-      options.wal_dir.empty()
-          ? internal::LoadKnowledgeBaseDirImpl(options.kb_dir, options.metrics,
-                                               options.parallelism)
-          : internal::RecoverKnowledgeBaseImpl(
-                options.kb_dir, options.wal_dir, options.metrics,
-                options.replay_stats, options.parallelism);
-  if (result.has_value() && options.query_cache_bytes > 0) {
-    result.value().SetQueryCacheBytes(options.query_cache_bytes);
+  if (!options.wal_dir.empty()) {
+    auto replayed = engine->AttachWal(options.wal_dir);
+    if (!replayed.has_value()) return replayed.error();
+    if (options.replay_stats != nullptr) {
+      *options.replay_stats = replayed.value();
+    }
   }
-  return result;
+  return std::move(*engine);
 }
 
 }  // namespace tara

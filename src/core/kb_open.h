@@ -11,18 +11,14 @@
 
 namespace tara {
 
-/// The unified knowledge-base entrypoint. One call subsumes what used to
-/// be three (LoadKnowledgeBaseDir, the TARAKB3 loaders, and
-/// RecoverKnowledgeBase): it detects the on-disk format, optionally
-/// verifies it, optionally replays a write-ahead log on top, and returns
-/// a ready engine. The legacy signatures remain for one release as thin
-/// deprecated shims over this function.
+/// The one knowledge-base entrypoint: it maps a TARAKB3 directory
+/// (kb_blocks.h), optionally verifies it, optionally replays a write-ahead
+/// log on top, and returns a ready engine.
 
 /// How segment payloads reach memory.
 enum class OpenMode {
-  /// Decode every window before returning — open cost O(total bytes),
-  /// queries never touch the disk format again. The only mode TARAKB2
-  /// directories support (requesting kMapped on one falls back to eager).
+  /// Map the block files and materialize every window before returning —
+  /// open cost O(total bytes), queries never touch the disk format again.
   kEager,
   /// Memory-map the TARAKB3 block files and decode windows on first
   /// access — open cost O(blocks), independent of window count; no
@@ -35,9 +31,9 @@ enum class OpenMode {
 
 /// How much of the on-disk state is checked at open.
 enum class OpenVerify {
-  /// Structural validation only (manifests are always fully validated).
-  /// Eager loads still verify every segment checksum as they decode;
-  /// mapped opens defer payload checks to first access.
+  /// Structural validation only (the manifest is always fully
+  /// validated). Every segment checksum is still verified as the segment
+  /// is decoded: at open for eager opens, on first access for mapped ones.
   kNone,
   /// Additionally verify every block/segment checksum at open — for
   /// mapped opens this reads all payload bytes (block-parallel when
@@ -46,19 +42,21 @@ enum class OpenVerify {
 };
 
 struct OpenOptions {
-  /// Directory holding the knowledge base — TARAKB3 (blocks.tarakb3)
-  /// when present, TARAKB2 (manifest.tarakb) otherwise.
+  /// Directory holding the TARAKB3 knowledge base (blocks.tarakb3). A
+  /// directory holding only a TARAKB2 manifest (manifest.tarakb) left by
+  /// an older build is refused with LoadError::Code::kBadVersion, with or
+  /// without a wal_dir.
   std::string kb_dir;
 
   OpenMode mode = OpenMode::kEager;
   OpenVerify verify = OpenVerify::kNone;
 
   /// When non-empty, recover-on-open: after loading the checkpoint in
-  /// `kb_dir` (or starting empty from the WAL header's options when no
-  /// checkpoint exists), the log's tail is replayed on top and left
-  /// attached so ingestion can continue. Replay requires the full
-  /// catalog, so a mapped open with a wal_dir materializes every window
-  /// before returning.
+  /// `kb_dir` (or starting empty from the WAL header's options when
+  /// `kb_dir` holds no knowledge base yet), the log's tail is replayed
+  /// on top and left attached so ingestion can continue. Replay requires
+  /// the full catalog, so a mapped open with a wal_dir materializes
+  /// every window before returning.
   std::string wal_dir;
 
   /// Becomes the engine's Options::metrics (runtime knob, never
@@ -66,7 +64,7 @@ struct OpenOptions {
   obs::MetricsRegistry* metrics = nullptr;
 
   /// Engine parallelism (Options::parallelism); also fans hash
-  /// verification and eager TARAKB3 segment parsing across a pool.
+  /// verification and eager segment parsing across a pool.
   /// 0 = hardware concurrency.
   uint32_t parallelism = 1;
 

@@ -147,8 +147,8 @@ struct WindowSegment {
   uint64_t floor_count = 0;
   /// Catalog size after this window's commit. Rules first interned by
   /// this window occupy ids [previous segment's watermark, this
-  /// watermark) — the invariant the segmented serialization format
-  /// relies on to persist one window at a time.
+  /// watermark) — the invariant the window-segment codec relies on to
+  /// persist one window at a time.
   RuleId rule_watermark = 0;
   WindowBuildStats stats;
 };

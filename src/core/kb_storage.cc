@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -14,7 +13,6 @@
 #include "common/crash_point.h"
 #include "common/hash.h"
 #include "core/byte_codec.h"
-#include "core/kb_open.h"
 
 namespace tara {
 namespace {
@@ -26,16 +24,25 @@ constexpr char kManifestMagic[] = "TARAKB2";
 constexpr size_t kManifestMagicLen = sizeof(kManifestMagic) - 1;
 constexpr char kSegmentMagic[] = "TSEG";
 constexpr size_t kSegmentMagicLen = sizeof(kSegmentMagic) - 1;
-constexpr char kManifestFile[] = "manifest.tarakb";
 
-std::string SegmentFileName(WindowId window) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "window-%06u.seg", window);
-  return name;
-}
+/// One manifest row of the canonical encoding: a window and its segment.
+struct ManifestRow {
+  uint64_t total_transactions = 0;
+  uint64_t rule_watermark = 0;
+  uint64_t entry_count = 0;
+  uint64_t segment_bytes = 0;
+  uint64_t segment_hash = 0;
+};
 
-using Manifest = KbManifest;
-using ManifestRow = KbManifestRow;
+/// The canonical encoding's manifest: the serialized construction options
+/// plus one row per window.
+struct Manifest {
+  double min_support_floor = 0;
+  double min_confidence_floor = 0;
+  uint64_t max_itemset_size = 0;
+  bool build_content_index = false;
+  std::vector<ManifestRow> rows;
+};
 
 LoadError Err(LoadError::Code code, std::string message) {
   return LoadError{code, std::move(message)};
@@ -105,152 +112,6 @@ Manifest ManifestFor(const KnowledgeBaseSnapshot& snapshot) {
   return manifest;
 }
 
-/// Parses a manifest from `reader`; on success the cursor rests on the
-/// first byte after it (the first segment, in the stream format).
-std::optional<LoadError> DecodeManifest(ByteReader* reader,
-                                        Manifest* manifest) {
-  if (reader->remaining() == 0) {
-    // The classic symptom of a crash inside a truncating in-place
-    // rewrite; called out separately from generic bad magic so the
-    // operator knows it is a torn write, not the wrong file.
-    return Err(LoadError::Code::kTruncated,
-               "manifest is zero-length (torn write from a crashed save?)");
-  }
-  if (!reader->Magic(kManifestMagic, kManifestMagicLen)) {
-    // Distinguish a stale format from arbitrary bytes for a better
-    // operator message.
-    ByteReader probe(*reader);
-    if (probe.Magic("TARAKB", 6)) {
-      return Err(LoadError::Code::kBadVersion,
-                 "stream is a different TARA knowledge-base format version "
-                 "(expected TARAKB2); re-serialize with this build");
-    }
-    return Err(LoadError::Code::kBadMagic,
-               "not a TARA knowledge base (TARAKB2 magic missing)");
-  }
-  uint64_t content_index = 0;
-  uint64_t window_count = 0;
-  if (!reader->F64(&manifest->min_support_floor) ||
-      !reader->F64(&manifest->min_confidence_floor) ||
-      !reader->U64(&manifest->max_itemset_size) ||
-      !reader->U64(&content_index) || !reader->U64(&window_count)) {
-    return Err(LoadError::Code::kTruncated,
-               "manifest ended mid-header (truncated stream?)");
-  }
-  if (content_index > 1) {
-    return Err(LoadError::Code::kBadManifest,
-               "manifest content-index flag is neither 0 nor 1");
-  }
-  manifest->build_content_index = content_index != 0;
-  KbOptions options;
-  options.min_support_floor = manifest->min_support_floor;
-  options.min_confidence_floor = manifest->min_confidence_floor;
-  options.max_itemset_size =
-      static_cast<uint32_t>(manifest->max_itemset_size);
-  if (options.max_itemset_size != manifest->max_itemset_size ||
-      options.Validate().has_value()) {
-    return Err(LoadError::Code::kBadManifest,
-               "manifest options are outside the valid ranges: " +
-                   options.Validate().value_or("itemset cap overflows"));
-  }
-  manifest->rows.reserve(window_count <= 4096 ? window_count : 0);
-  uint64_t previous_watermark = 0;
-  for (uint64_t i = 0; i < window_count; ++i) {
-    ManifestRow row;
-    if (!reader->U64(&row.total_transactions) ||
-        !reader->U64(&row.rule_watermark) || !reader->U64(&row.entry_count) ||
-        !reader->U64(&row.segment_bytes) || !reader->Raw64(&row.segment_hash)) {
-      std::ostringstream message;
-      message << "manifest ended inside window row " << i << " of "
-              << window_count;
-      return Err(LoadError::Code::kTruncated, message.str());
-    }
-    if (row.rule_watermark < previous_watermark) {
-      std::ostringstream message;
-      message << "manifest watermarks decrease at window " << i << " ("
-              << previous_watermark << " -> " << row.rule_watermark
-              << ") — watermarks count cumulative interned rules";
-      return Err(LoadError::Code::kBadManifest, message.str());
-    }
-    if (row.entry_count < row.rule_watermark - previous_watermark) {
-      std::ostringstream message;
-      message << "manifest window " << i << " claims "
-              << row.rule_watermark - previous_watermark
-              << " first-seen rules but only " << row.entry_count
-              << " entries";
-      return Err(LoadError::Code::kBadManifest, message.str());
-    }
-    previous_watermark = row.rule_watermark;
-    manifest->rows.push_back(row);
-  }
-  return std::nullopt;
-}
-
-/// Decodes one window's segment blob and appends it to `engine`,
-/// cross-checking every claim against the manifest row. `rules` is the
-/// catalog replay: rule contents accumulated from all prior segments,
-/// indexed by RuleId.
-std::optional<LoadError> DecodeSegmentInto(const uint8_t* data, size_t size,
-                                           const ManifestRow& row,
-                                           WindowId window,
-                                           std::vector<Rule>* rules,
-                                           TaraEngine* engine) {
-  const auto corrupt = [window](const std::string& what) {
-    std::ostringstream message;
-    message << "segment of window " << window << " is corrupt: " << what;
-    return Err(LoadError::Code::kCorruptSegment, message.str());
-  };
-  if (HashBytes(data, size) != row.segment_hash) {
-    return corrupt("checksum does not match the manifest");
-  }
-  auto parsed = ParseWindowSegment(data, size);
-  if (!parsed.has_value()) return parsed.error();
-  if (parsed->window != window) {
-    return corrupt("segment belongs to a different window");
-  }
-  if (parsed->first_rule != rules->size() ||
-      parsed->first_rule + parsed->new_rules.size() != row.rule_watermark) {
-    return corrupt("rule id range disagrees with the manifest watermark");
-  }
-  if (parsed->entries.size() != row.entry_count) {
-    return corrupt("entry count disagrees with the manifest");
-  }
-  for (Rule& rule : parsed.value().new_rules) {
-    rules->push_back(std::move(rule));
-  }
-  std::vector<TaraEngine::PrecomputedRule> precomputed;
-  precomputed.reserve(parsed->entries.size());
-  for (const ParsedWindowSegment::RawEntry& e : parsed->entries) {
-    if (e.rule >= row.rule_watermark) {
-      return corrupt("entry references a rule past the window's watermark");
-    }
-    TaraEngine::PrecomputedRule p;
-    p.rule = (*rules)[e.rule];
-    p.rule_count = e.rule_count;
-    p.antecedent_count = e.rule_count + e.antecedent_delta;
-    precomputed.push_back(std::move(p));
-  }
-  engine->AppendPrecomputedWindow(row.total_transactions, precomputed);
-  if (engine->catalog().size() != row.rule_watermark) {
-    return corrupt(
-        "re-interning the entries did not reproduce the manifest watermark "
-        "(duplicate or out-of-order rule contents)");
-  }
-  return std::nullopt;
-}
-
-TaraEngine EngineFor(const Manifest& manifest, obs::MetricsRegistry* metrics,
-                     uint32_t parallelism) {
-  KbOptions options;
-  options.min_support_floor = manifest.min_support_floor;
-  options.min_confidence_floor = manifest.min_confidence_floor;
-  options.max_itemset_size = static_cast<uint32_t>(manifest.max_itemset_size);
-  options.build_content_index = manifest.build_content_index;
-  options.metrics = metrics;
-  options.parallelism = parallelism;
-  return TaraEngine(options);
-}
-
 LoadError ErrnoErr(const std::string& what, const std::filesystem::path& path) {
   return Err(LoadError::Code::kIoError,
              what + " " + path.string() + ": " + std::strerror(errno));
@@ -266,50 +127,6 @@ std::optional<LoadError> SyncParentDir(const std::filesystem::path& path) {
   const int rc = ::fsync(dir_fd);
   ::close(dir_fd);
   if (rc != 0) return ErrnoErr("fsync failed on directory", parent);
-  return std::nullopt;
-}
-
-/// Checks that manifest `rows` describe a prefix of `snapshot`'s windows.
-/// Metadata-level check (transactions, watermark, entry count): cheap, and
-/// sufficient because segment bytes are a deterministic function of the
-/// window sequence.
-std::optional<LoadError> CheckPrefix(const KnowledgeBaseSnapshot& snapshot,
-                                     const std::vector<ManifestRow>& rows) {
-  if (rows.size() > snapshot.window_count()) {
-    std::ostringstream message;
-    message << "directory holds " << rows.size()
-            << " windows but the snapshot has only "
-            << snapshot.window_count()
-            << " — appending cannot rewind a knowledge base";
-    return Err(LoadError::Code::kBadManifest, message.str());
-  }
-  for (size_t w = 0; w < rows.size(); ++w) {
-    const WindowSegment& segment =
-        snapshot.segment(static_cast<WindowId>(w));
-    if (rows[w].total_transactions != segment.total_transactions ||
-        rows[w].rule_watermark != segment.rule_watermark ||
-        rows[w].entry_count != segment.entries.size()) {
-      std::ostringstream message;
-      message << "window " << w
-              << " on disk does not match the snapshot (different data or "
-                 "floors?) — refusing to append; save to a fresh directory";
-      return Err(LoadError::Code::kBadManifest, message.str());
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<LoadError> CheckOptionsMatch(
-    const KnowledgeBaseSnapshot& snapshot, const Manifest& manifest) {
-  const KbOptions& options = snapshot.options();
-  if (manifest.min_support_floor != options.min_support_floor ||
-      manifest.min_confidence_floor != options.min_confidence_floor ||
-      manifest.max_itemset_size != options.max_itemset_size ||
-      manifest.build_content_index != options.build_content_index) {
-    return Err(LoadError::Code::kBadManifest,
-               "directory was written with different construction options "
-               "(floors/itemset cap/content index) — refusing to append");
-  }
   return std::nullopt;
 }
 
@@ -368,88 +185,6 @@ std::optional<LoadError> AtomicWriteFileBytes(
   return std::nullopt;
 }
 
-void WarnDeprecatedOnce(bool* warned, const char* legacy,
-                        const char* replacement) {
-  if (*warned) return;
-  *warned = true;
-  std::fprintf(stderr,
-               "tara: %s is deprecated and will be removed next release; "
-               "use %s\n",
-               legacy, replacement);
-}
-
-std::optional<LoadError> WriteKnowledgeBaseDirManifest(
-    const std::string& dir, const KbManifest& manifest) {
-  return AtomicWriteFileBytes(std::filesystem::path(dir) / kManifestFile,
-                              EncodeManifestBytes(manifest));
-}
-
-Expected<TaraEngine, LoadError> LoadKnowledgeBaseDirImpl(
-    const std::string& dir, obs::MetricsRegistry* metrics,
-    uint32_t parallelism) {
-  const std::filesystem::path root(dir);
-  std::vector<uint8_t> manifest_bytes;
-  if (auto error = ReadFileBytes(root / kManifestFile, &manifest_bytes)) {
-    return *std::move(error);
-  }
-  ByteReader reader(manifest_bytes.data(), manifest_bytes.size());
-  Manifest manifest;
-  if (auto error = DecodeManifest(&reader, &manifest)) return *std::move(error);
-  if (reader.remaining() != 0) {
-    return Err(LoadError::Code::kTrailingBytes,
-               "trailing bytes after the manifest in " +
-                   (root / kManifestFile).string());
-  }
-
-  TaraEngine engine = EngineFor(manifest, metrics, parallelism);
-  std::vector<Rule> rules;
-  for (size_t w = 0; w < manifest.rows.size(); ++w) {
-    const ManifestRow& row = manifest.rows[w];
-    const std::filesystem::path path =
-        root / SegmentFileName(static_cast<WindowId>(w));
-    std::vector<uint8_t> segment;
-    if (auto error = ReadFileBytes(path, &segment)) return *std::move(error);
-    if (segment.size() != row.segment_bytes) {
-      std::ostringstream message;
-      message << path.string() << " is " << segment.size()
-              << " bytes but the manifest promises " << row.segment_bytes;
-      return Err(LoadError::Code::kCorruptSegment, message.str());
-    }
-    if (auto error =
-            DecodeSegmentInto(segment.data(), segment.size(), row,
-                              static_cast<WindowId>(w), &rules, &engine)) {
-      return *std::move(error);
-    }
-  }
-  return engine;
-}
-
-Expected<TaraEngine, LoadError> RecoverKnowledgeBaseImpl(
-    const std::string& kb_dir, const std::string& wal_dir,
-    obs::MetricsRegistry* metrics, WalReplayStats* stats,
-    uint32_t parallelism) {
-  std::optional<TaraEngine> engine;
-  if (KnowledgeBaseDirExists(kb_dir)) {
-    auto loaded = LoadKnowledgeBaseDirImpl(kb_dir, metrics, parallelism);
-    if (!loaded.has_value()) return loaded.error();
-    engine.emplace(std::move(loaded.value()));
-  } else {
-    // No checkpoint yet: the crash happened before the first save. The
-    // WAL header carries the construction options, so the whole engine
-    // rebuilds from the log alone.
-    auto contents = ReadWal(wal_dir);
-    if (!contents.has_value()) return contents.error();
-    KbOptions options = contents->options;
-    options.metrics = metrics;
-    options.parallelism = parallelism;
-    engine.emplace(options);
-  }
-  auto replayed = engine->AttachWal(wal_dir);
-  if (!replayed.has_value()) return replayed.error();
-  if (stats != nullptr) *stats = replayed.value();
-  return std::move(*engine);
-}
-
 }  // namespace internal
 
 std::string EncodeKnowledgeBase(const KnowledgeBaseSnapshot& snapshot) {
@@ -466,137 +201,6 @@ std::string EncodeKnowledgeBase(const KnowledgeBaseSnapshot& snapshot) {
     out.append(segment.begin(), segment.end());
   }
   return out;
-}
-
-Expected<TaraEngine, LoadError> DecodeKnowledgeBase(
-    std::string_view bytes, obs::MetricsRegistry* metrics) {
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
-  ByteReader reader(data, bytes.size());
-  Manifest manifest;
-  if (auto error = DecodeManifest(&reader, &manifest)) return *std::move(error);
-
-  TaraEngine engine = EngineFor(manifest, metrics, 1);
-  std::vector<Rule> rules;
-  size_t pos = reader.pos();
-  for (size_t w = 0; w < manifest.rows.size(); ++w) {
-    const ManifestRow& row = manifest.rows[w];
-    if (bytes.size() - pos < row.segment_bytes) {
-      std::ostringstream message;
-      message << "stream ends inside the segment of window " << w
-              << " (manifest promises " << row.segment_bytes << " bytes, "
-              << bytes.size() - pos << " remain)";
-      return Err(LoadError::Code::kTruncated, message.str());
-    }
-    if (auto error =
-            DecodeSegmentInto(data + pos, row.segment_bytes, row,
-                              static_cast<WindowId>(w), &rules, &engine)) {
-      return *std::move(error);
-    }
-    pos += row.segment_bytes;
-  }
-  if (pos != bytes.size()) {
-    std::ostringstream message;
-    message << bytes.size() - pos
-            << " trailing bytes after the last window segment";
-    return Err(LoadError::Code::kTrailingBytes, message.str());
-  }
-  return engine;
-}
-
-std::optional<LoadError> SaveKnowledgeBaseDir(
-    const KnowledgeBaseSnapshot& snapshot, const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    return Err(LoadError::Code::kIoError,
-               "cannot create directory " + dir + ": " + ec.message());
-  }
-  const std::filesystem::path root(dir);
-  Manifest manifest = ManifestFor(snapshot);
-  for (WindowId w = 0; w < snapshot.window_count(); ++w) {
-    const std::vector<uint8_t> segment = EncodeSegmentBytes(snapshot, w);
-    manifest.rows.push_back(RowFor(snapshot, w, segment));
-    if (auto error = internal::AtomicWriteFileBytes(
-            root / SegmentFileName(w), segment)) {
-      return error;
-    }
-  }
-  // Manifest last: it only ever names segments that are already durable.
-  return internal::AtomicWriteFileBytes(root / kManifestFile,
-                                        EncodeManifestBytes(manifest));
-}
-
-std::optional<LoadError> AppendKnowledgeBaseDir(
-    const KnowledgeBaseSnapshot& snapshot, const std::string& dir) {
-  const std::filesystem::path root(dir);
-  if (!std::filesystem::exists(root / kManifestFile)) {
-    return SaveKnowledgeBaseDir(snapshot, dir);
-  }
-  std::vector<uint8_t> manifest_bytes;
-  if (auto error =
-          internal::ReadFileBytes(root / kManifestFile, &manifest_bytes)) {
-    return error;
-  }
-  ByteReader reader(manifest_bytes.data(), manifest_bytes.size());
-  Manifest on_disk;
-  if (auto error = DecodeManifest(&reader, &on_disk)) return error;
-  if (reader.remaining() != 0) {
-    return Err(LoadError::Code::kTrailingBytes,
-               "trailing bytes after the manifest in " +
-                   (root / kManifestFile).string());
-  }
-  if (auto error = CheckOptionsMatch(snapshot, on_disk)) return error;
-  if (auto error = CheckPrefix(snapshot, on_disk.rows)) return error;
-
-  // Only the new windows' segments are encoded and written; the manifest
-  // keeps the on-disk rows for the untouched prefix.
-  Manifest updated = ManifestFor(snapshot);
-  updated.rows = on_disk.rows;
-  for (WindowId w = static_cast<WindowId>(on_disk.rows.size());
-       w < snapshot.window_count(); ++w) {
-    const std::vector<uint8_t> segment = EncodeSegmentBytes(snapshot, w);
-    updated.rows.push_back(RowFor(snapshot, w, segment));
-    if (auto error = internal::AtomicWriteFileBytes(
-            root / SegmentFileName(w), segment)) {
-      return error;
-    }
-  }
-  // The manifest replacement is atomic (temp + rename), so a crash here
-  // leaves the previous manifest — and therefore a loadable prefix —
-  // intact, never a truncated rewrite.
-  return internal::AtomicWriteFileBytes(root / kManifestFile,
-                                        EncodeManifestBytes(updated));
-}
-
-bool KnowledgeBaseDirExists(const std::string& dir) {
-  std::error_code ec;
-  return std::filesystem::exists(std::filesystem::path(dir) / kManifestFile,
-                                 ec);
-}
-
-std::string KnowledgeBaseManifestFileName() { return kManifestFile; }
-
-std::string KnowledgeBaseSegmentFileName(WindowId window) {
-  return SegmentFileName(window);
-}
-
-Expected<KbManifest, LoadError> ReadKnowledgeBaseDirManifest(
-    const std::string& dir) {
-  const std::filesystem::path root(dir);
-  std::vector<uint8_t> manifest_bytes;
-  if (auto error =
-          internal::ReadFileBytes(root / kManifestFile, &manifest_bytes)) {
-    return *std::move(error);
-  }
-  ByteReader reader(manifest_bytes.data(), manifest_bytes.size());
-  KbManifest manifest;
-  if (auto error = DecodeManifest(&reader, &manifest)) return *std::move(error);
-  if (reader.remaining() != 0) {
-    return Err(LoadError::Code::kTrailingBytes,
-               "trailing bytes after the manifest in " +
-                   (root / kManifestFile).string());
-  }
-  return manifest;
 }
 
 std::vector<uint8_t> EncodeWindowSegment(const KnowledgeBaseSnapshot& snapshot,
@@ -706,33 +310,6 @@ Expected<DecodedWindowSegment, LoadError> DecodeWindowSegment(
   decoded.first_rule = parsed->first_rule;
   decoded.entries = *std::move(entries);
   return decoded;
-}
-
-Expected<TaraEngine, LoadError> RecoverKnowledgeBase(
-    const std::string& kb_dir, const std::string& wal_dir,
-    obs::MetricsRegistry* metrics, WalReplayStats* stats) {
-  static bool warned = false;
-  internal::WarnDeprecatedOnce(&warned, "RecoverKnowledgeBase",
-                               "OpenKnowledgeBase(OpenOptions) with wal_dir "
-                               "set (core/kb_open.h)");
-  OpenOptions options;
-  options.kb_dir = kb_dir;
-  options.wal_dir = wal_dir;
-  options.metrics = metrics;
-  options.replay_stats = stats;
-  return OpenKnowledgeBase(options);
-}
-
-Expected<TaraEngine, LoadError> LoadKnowledgeBaseDir(
-    const std::string& dir, obs::MetricsRegistry* metrics) {
-  static bool warned = false;
-  internal::WarnDeprecatedOnce(&warned, "LoadKnowledgeBaseDir",
-                               "OpenKnowledgeBase(OpenOptions) "
-                               "(core/kb_open.h)");
-  OpenOptions options;
-  options.kb_dir = dir;
-  options.metrics = metrics;
-  return OpenKnowledgeBase(options);
 }
 
 }  // namespace tara

@@ -5,125 +5,38 @@
 #include <filesystem>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/expected.h"
 #include "core/load_error.h"
 #include "core/tara_engine.h"
-#include "core/wal.h"
 
 namespace tara {
 
-/// Segmented binary persistence of a TARA knowledge base (format TARAKB2).
+/// The window-segment codec (TSEG) every persisted form of a TARA
+/// knowledge base carries, plus the canonical byte encoding the
+/// byte-identity oracles compare.
 ///
-/// The serialized knowledge base is a **manifest** plus one **window
-/// segment** per committed window:
-///
-/// - The manifest holds the construction options (the serialized subset:
-///   floors, itemset cap, content-index flag) and, per window, its
-///   transaction count, rule-count watermark, entry count, and the byte
-///   size + checksum of its segment.
-/// - A window's segment holds the contents of the rules that window
-///   interned first (ids [previous watermark, watermark) — contiguous by
-///   the commit-order invariant) and the window's (rule, counts) entries.
-///
-/// Segments are immutable once written, mirroring the in-memory
-/// WindowSegment sharing: appending a window to a knowledge-base
-/// directory writes ONE new segment file plus the manifest — O(new
-/// window), not O(knowledge base). The single-stream format
-/// (serialization.h) is the same manifest and segments concatenated.
-/// The block-partitioned TARAKB3 form (kb_blocks.h) stores the same
-/// segment blobs packed into balanced, memory-mappable block files.
+/// A window's **segment** holds the contents of the rules that window
+/// interned first (ids [previous watermark, watermark) — contiguous by
+/// the commit-order invariant) and the window's (rule, counts) entries.
+/// The write-ahead log (wal.h), the replication record, and the TARAKB3
+/// block files (kb_blocks.h) all hold these exact bytes; TARAKB3 is the
+/// only on-disk knowledge-base format.
 ///
 /// Integers are LEB128 varints, doubles and checksums are 8-byte
-/// little-endian; itemsets are delta-encoded. Loaders treat all input as
+/// little-endian; itemsets are delta-encoded. Decoders treat all input as
 /// untrusted and return LoadError instead of aborting.
 
-/// Serializes one pinned generation: manifest followed by every window
-/// segment. Deterministic — byte-identical for the same window sequence
-/// regardless of build parallelism or whether windows arrived via
-/// BuildAll or live appends.
+/// The canonical encoding of one pinned generation: a manifest (the
+/// serialized options plus one row per window, magic "TARAKB2") followed
+/// by every window segment. Deterministic — byte-identical for the same
+/// window sequence regardless of build parallelism, live appends vs
+/// BuildAll, or eager vs mapped opens — which is what the tests'
+/// byte-identity oracles compare. Nothing reads it back.
 std::string EncodeKnowledgeBase(const KnowledgeBaseSnapshot& snapshot);
 
-/// Parses bytes produced by EncodeKnowledgeBase (or the stream helpers in
-/// serialization.h). `metrics` becomes the loaded engine's
-/// Options::metrics — runtime knobs are not serialized state.
-Expected<TaraEngine, LoadError> DecodeKnowledgeBase(
-    std::string_view bytes, obs::MetricsRegistry* metrics = nullptr);
-
-/// --- Directory-backed persistence ----------------------------------------
-/// Layout: `<dir>/manifest.tarakb` plus `<dir>/window-NNNNNN.seg`, one per
-/// window. Every file is written crash-safely (temp file → fsync → rename
-/// → parent-directory fsync) and segments land before the manifest that
-/// names them, so a crash at any instant leaves either the previous
-/// manifest or the new one fully in place — never a truncated or
-/// zero-length file. Leftover `.tmp` files and unreferenced `.seg` files
-/// from a crashed save are ignored by the loader and overwritten by the
-/// next save.
-
-/// Writes the full knowledge base of `snapshot` into `dir` (created if
-/// missing). Returns nullopt on success.
-std::optional<LoadError> SaveKnowledgeBaseDir(
-    const KnowledgeBaseSnapshot& snapshot, const std::string& dir);
-
-/// Incremental save: verifies the manifest already in `dir` describes a
-/// prefix of `snapshot`'s windows (same options; per-window transaction
-/// counts, watermarks, and entry counts match), then writes only the NEW
-/// windows' segment files and the updated manifest. Existing segment
-/// files are never rewritten. Falls back to a full SaveKnowledgeBaseDir
-/// when `dir` has no manifest yet.
-std::optional<LoadError> AppendKnowledgeBaseDir(
-    const KnowledgeBaseSnapshot& snapshot, const std::string& dir);
-
-/// DEPRECATED: use OpenKnowledgeBase(OpenOptions) in core/kb_open.h,
-/// which subsumes this and the TARAKB3 block form behind one entrypoint.
-/// Kept for one release as a thin shim (emits a one-time stderr note).
-///
-/// Loads a knowledge base saved by Save/AppendKnowledgeBaseDir,
-/// verifying every segment's size and checksum against the manifest.
-Expected<TaraEngine, LoadError> LoadKnowledgeBaseDir(
-    const std::string& dir, obs::MetricsRegistry* metrics = nullptr);
-
-/// True if `dir` holds a TARAKB2 knowledge-base manifest.
-bool KnowledgeBaseDirExists(const std::string& dir);
-
-/// The TARAKB2 file names, exposed for the db tooling suite
-/// ("manifest.tarakb" and "window-NNNNNN.seg").
-std::string KnowledgeBaseManifestFileName();
-std::string KnowledgeBaseSegmentFileName(WindowId window);
-
-/// --- Manifest introspection ----------------------------------------------
-
-/// One manifest row describing a window and its segment blob.
-struct KbManifestRow {
-  uint64_t total_transactions = 0;
-  uint64_t rule_watermark = 0;
-  uint64_t entry_count = 0;
-  uint64_t segment_bytes = 0;
-  uint64_t segment_hash = 0;
-};
-
-/// The decoded TARAKB2 manifest: the serialized construction options plus
-/// one row per window.
-struct KbManifest {
-  double min_support_floor = 0;
-  double min_confidence_floor = 0;
-  uint64_t max_itemset_size = 0;
-  bool build_content_index = false;
-  std::vector<KbManifestRow> rows;
-};
-
-/// Reads and validates `<dir>/manifest.tarakb` without touching any
-/// segment file — the metadata backbone of `db stats` and of the KB2 →
-/// KB3 byte-level repartition in kb_blocks.h.
-Expected<KbManifest, LoadError> ReadKnowledgeBaseDirManifest(
-    const std::string& dir);
-
 /// --- Window-segment codec -------------------------------------------------
-/// The per-window TARAKB2 blob, exposed so the write-ahead log (wal.h)
-/// carries exactly the bytes a `window-NNNNNN.seg` file would hold, and so
-/// TARAKB3 block files (kb_blocks.h) can pack the identical blobs.
 
 /// Encodes window `window` of `snapshot` as its segment blob.
 std::vector<uint8_t> EncodeWindowSegment(const KnowledgeBaseSnapshot& snapshot,
@@ -182,43 +95,10 @@ Expected<std::vector<PrecomputedRule>, LoadError> ResolveParsedSegment(
 Expected<WindowId, LoadError> PeekWindowSegmentWindow(const uint8_t* data,
                                                       size_t size);
 
-/// --- Crash recovery -------------------------------------------------------
-
-/// DEPRECATED: use OpenKnowledgeBase(OpenOptions) in core/kb_open.h with
-/// OpenOptions::wal_dir set — recover-on-open is part of the unified
-/// entrypoint. Kept for one release as a thin shim (emits a one-time
-/// stderr note).
-///
-/// Rebuilds the engine state as of the last durable instant: loads the
-/// knowledge base in `kb_dir` (if its manifest exists — otherwise the
-/// engine is constructed from the WAL header's options), replays the
-/// write-ahead log tail in `wal_dir` on top, and leaves the log attached
-/// so ingestion can continue. `stats`, when non-null, receives the
-/// replay outcome. Checkpoint the recovered engine with
-/// CheckpointKnowledgeBaseDir (kb_blocks.h) + TaraEngine::TruncateWal to
-/// retire the log.
-Expected<TaraEngine, LoadError> RecoverKnowledgeBase(
-    const std::string& kb_dir, const std::string& wal_dir,
-    obs::MetricsRegistry* metrics = nullptr, WalReplayStats* stats = nullptr);
-
-/// --- Implementation plumbing (internal) -----------------------------------
-/// Shared by kb_open.cc / kb_blocks.cc. Not part of the public API
+/// --- File plumbing (internal) ---------------------------------------------
+/// Used by the TARAKB3 writer (kb_blocks.cc). Not part of the public API
 /// surface; subject to change without a deprecation cycle.
 namespace internal {
-
-/// The eager TARAKB2 directory loader behind the LoadKnowledgeBaseDir
-/// shim and OpenKnowledgeBase's KB2 path (no deprecation note).
-/// `parallelism` becomes the loaded engine's Options::parallelism.
-Expected<TaraEngine, LoadError> LoadKnowledgeBaseDirImpl(
-    const std::string& dir, obs::MetricsRegistry* metrics,
-    uint32_t parallelism);
-
-/// The TARAKB2 checkpoint+replay recovery behind the RecoverKnowledgeBase
-/// shim and OpenKnowledgeBase's wal_dir path (no deprecation note).
-Expected<TaraEngine, LoadError> RecoverKnowledgeBaseImpl(
-    const std::string& kb_dir, const std::string& wal_dir,
-    obs::MetricsRegistry* metrics, WalReplayStats* stats,
-    uint32_t parallelism);
 
 /// Crash-safe file replacement: bytes land in `<path>.tmp`, are fsync'd,
 /// renamed over `path`, then the parent directory entry is fsync'd. A
@@ -232,16 +112,6 @@ std::optional<LoadError> AtomicWriteFileBytes(
 /// Slurps a file, typed kIoError on failure.
 std::optional<LoadError> ReadFileBytes(const std::filesystem::path& path,
                                        std::vector<uint8_t>* out);
-
-/// Crash-safely replaces `<dir>/manifest.tarakb` with the encoding of
-/// `manifest`. Used by the trim tooling; segment files must already
-/// match what the rows claim.
-std::optional<LoadError> WriteKnowledgeBaseDirManifest(
-    const std::string& dir, const KbManifest& manifest);
-
-/// One-time (per call site, per process) deprecation note on stderr.
-void WarnDeprecatedOnce(bool* warned, const char* legacy,
-                        const char* replacement);
 
 }  // namespace internal
 

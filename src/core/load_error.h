@@ -7,8 +7,8 @@
 
 namespace tara {
 
-/// Why a serialized knowledge base could not be loaded. The loaders
-/// (LoadKnowledgeBase, LoadKnowledgeBaseDir, ...) treat their input as
+/// Why a persisted knowledge base or log could not be loaded. The loaders
+/// (OpenKnowledgeBase, MappedKb::Open, ReadWal, ...) treat their input as
 /// untrusted bytes and return one of these (inside an Expected) instead
 /// of aborting: a corrupt or mismatched file is an operational problem
 /// the calling process decides how to survive — fall back to a rebuild,

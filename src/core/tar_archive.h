@@ -104,10 +104,6 @@ class TarArchive {
   std::span<const ArchiveEntry> DecodeInto(RuleId rule,
                                            DecodeArena& arena) const;
 
-  /// Allocating legacy shape, kept as a shim over DecodeInto for one
-  /// release; prefer DecodeInto or VisitEntries in new code.
-  std::vector<ArchiveEntry> Decode(RuleId rule) const;
-
   /// Single-pass visitor over a rule's series in window order, no
   /// materialization. `visitor(const ArchiveEntry&)` returns false to stop
   /// early. The decode is the portable scalar scan — consumers that want

@@ -139,9 +139,9 @@ class TaraEngine {
   /// --- Durability (write-ahead log) ---------------------------------------
   /// With a WAL attached, Append*/BuildAll return only after the new
   /// window's record is fdatasync'd to the log, so an ack sent after an
-  /// append survives any crash: recovery (RecoverKnowledgeBase in
-  /// kb_storage.h, or AttachWal over a loaded engine) replays the log
-  /// tail and reproduces the acked state byte-for-byte.
+  /// append survives any crash: recovery (OpenKnowledgeBase with a
+  /// wal_dir in kb_open.h, or AttachWal over a loaded engine) replays the
+  /// log tail and reproduces the acked state byte-for-byte.
 
   /// Attaches (creating if absent) the write-ahead log in `dir`,
   /// replaying any records it holds into this engine first. Call once,
@@ -153,7 +153,7 @@ class TaraEngine {
 
   /// Resets the attached log to its header (no-op without one). Call
   /// only right after the logged windows became durable via
-  /// AppendKnowledgeBaseDir — that pair is the checkpoint step.
+  /// AppendKnowledgeBaseBlocks — that pair is the checkpoint step.
   std::optional<LoadError> TruncateWal() { return builder_->TruncateWal(); }
 
   /// True once a WAL is attached (Options::wal_dir or AttachWal).

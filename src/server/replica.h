@@ -22,7 +22,7 @@ struct ReplicaOptions {
   /// The primary's TaraServer endpoint.
   std::string primary_host = "127.0.0.1";
   uint16_t primary_port = 0;
-  /// Optional local checkpoint (TARAKB2/TARAKB3 directory) to bootstrap
+  /// Optional local checkpoint (TARAKB3 directory) to bootstrap
   /// from before subscribing; empty = bootstrap entirely from the
   /// primary's stream. A checkpoint must carry the primary's floors —
   /// the handshake refuses mismatched options, exactly as AttachWal

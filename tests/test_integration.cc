@@ -1,16 +1,21 @@
 // End-to-end integration tests: whole pipelines crossing module
-// boundaries — generator → windowing → engine → serialization →
+// boundaries — generator → windowing → engine → TARAKB3 save/open →
 // exploration, drill-down consistency, and TARA applied to the
 // pharmacovigilance reports themselves.
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "baselines/dctar.h"
 #include "core/exploration.h"
-#include "core/serialization.h"
+#include "core/kb_blocks.h"
+#include "core/kb_open.h"
 #include "core/tara_engine.h"
 #include "datagen/basket_generators.h"
 #include "datagen/faers_generator.h"
@@ -41,8 +46,16 @@ TEST(IntegrationTest, RetailPipelineEndToEnd) {
   TaraEngine engine(options);
   engine.BuildAll(data);
 
-  const TaraEngine reloaded =
-      KnowledgeBaseFromString(KnowledgeBaseToString(engine)).value();
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("integration_kb_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  ASSERT_FALSE(
+      SaveKnowledgeBaseBlocks(*engine.Snapshot(), dir.string()).has_value());
+  OpenOptions open;
+  open.kb_dir = dir.string();
+  const TaraEngine reloaded = OpenKnowledgeBase(open).value();
+  std::filesystem::remove_all(dir);
   const DctarBaseline scratch(&data, 4);
 
   const ParameterSetting setting{0.006, 0.3};
@@ -99,7 +112,7 @@ TEST(IntegrationTest, DrillDownRefinesRollUp) {
     const RuleId fine_id = fine_engine.catalog().Find(rule);
     if (fine_id == RuleCatalog::kNotFound) continue;
     // Only exact when archived in all three fine windows.
-    if (fine_engine.archive().Decode(fine_id).size() != 3) continue;
+    if (fine_engine.archive().entry_count(fine_id) != 3) continue;
     const RollUpBound bound =
         fine_engine.RollUpRule(fine_id, fine_engine.AllWindows()).value();
     const auto coarse_entry =

@@ -23,7 +23,6 @@
 #include "core/kb_open.h"
 #include "core/kb_storage.h"
 #include "core/query_request.h"
-#include "core/serialization.h"
 #include "core/tara_engine.h"
 #include "datagen/quest_generator.h"
 #include "txdb/evolving_database.h"
@@ -93,27 +92,87 @@ class KbBlocksTest : public ::testing::Test {
   fs::path dir_;
 };
 
+TaraEngine BuildEngine(const EvolvingDatabase& data, bool content_index) {
+  TaraEngine::Options options;
+  options.min_support_floor = kSupportFloor;
+  options.min_confidence_floor = kConfidenceFloor;
+  options.max_itemset_size = 5;
+  options.build_content_index = content_index;
+  TaraEngine engine(options);
+  engine.BuildAll(data);
+  return engine;
+}
+
+// The round trip over three sources: a plain 4-window KB, one with the
+// content index (floors, itemset cap and the index flag must survive),
+// and a zero-window KB. Every loaded engine keeps evolving: a live
+// append on top of it equals the same append on the source.
 TEST_F(KbBlocksTest, RoundTripsThroughBothOpenModes) {
   const EvolvingDatabase data = MakeData(4);
-  const TaraEngine original = BuildEngine(data);
-  ASSERT_FALSE(
-      SaveKnowledgeBaseBlocks(*original.Snapshot(), dir_.string()).has_value());
-  EXPECT_TRUE(fs::exists(dir_ / "blocks.tarakb3"));
-  EXPECT_TRUE(KnowledgeBaseBlocksDirExists(dir_.string()));
+  const EvolvingDatabase more = MakeData(5);
+  const WindowInfo& extra = more.window(4);
+  struct Source {
+    const char* name;
+    TaraEngine engine;
+  };
+  Source sources[] = {
+      {"plain", BuildEngine(data)},
+      {"content_index", BuildEngine(data, /*content_index=*/true)},
+      {"empty", BuildEngine(EvolvingDatabase())},
+  };
+  for (Source& source : sources) {
+    SCOPED_TRACE(source.name);
+    const TaraEngine& original = source.engine;
+    const fs::path dir = dir_ / source.name;
+    ASSERT_FALSE(SaveKnowledgeBaseBlocks(*original.Snapshot(), dir.string())
+                     .has_value());
+    EXPECT_TRUE(fs::exists(dir / "blocks.tarakb3"));
+    EXPECT_TRUE(KnowledgeBaseBlocksDirExists(dir.string()));
+    const std::string encoded = EncodeKnowledgeBase(*original.Snapshot());
 
-  for (const OpenMode mode : {OpenMode::kEager, OpenMode::kMapped}) {
-    const auto loaded = Open(dir_.string(), mode);
-    ASSERT_TRUE(loaded.has_value()) << loaded.error();
-    EXPECT_EQ(loaded->window_count(), original.window_count());
-    const ParameterSetting setting{0.02, 0.3};
-    for (WindowId w = 0; w < original.window_count(); ++w) {
-      EXPECT_EQ(loaded->MineWindow(w, setting).value(),
-                original.MineWindow(w, setting).value());
+    for (const OpenMode mode : {OpenMode::kEager, OpenMode::kMapped}) {
+      auto loaded = Open(dir.string(), mode);
+      ASSERT_TRUE(loaded.has_value()) << loaded.error();
+      TaraEngine& engine = loaded.value();
+      EXPECT_EQ(engine.window_count(), original.window_count());
+      const KbOptions& options = engine.options();
+      EXPECT_EQ(options.min_support_floor,
+                original.options().min_support_floor);
+      EXPECT_EQ(options.min_confidence_floor,
+                original.options().min_confidence_floor);
+      EXPECT_EQ(options.max_itemset_size, original.options().max_itemset_size);
+      EXPECT_EQ(options.build_content_index,
+                original.options().build_content_index);
+      const ParameterSetting setting{0.02, 0.3};
+      for (WindowId w = 0; w < original.window_count(); ++w) {
+        EXPECT_EQ(engine.MineWindow(w, setting).value(),
+                  original.MineWindow(w, setting).value());
+      }
+      if (options.build_content_index) {
+        // Content queries work on the reloaded base.
+        const auto rules = engine.MineWindow(0, setting).value();
+        ASSERT_FALSE(rules.empty());
+        const ItemId item = engine.catalog().rule(rules[0]).antecedent[0];
+        EXPECT_EQ(engine.ContentQuery(0, {item}, setting).value(),
+                  original.ContentQuery(0, {item}, setting).value());
+      }
+      // Once every window is materialized the loaded engine encodes to
+      // the exact bytes of the source engine.
+      EXPECT_EQ(EncodeKnowledgeBase(*engine.Snapshot()), encoded);
+
+      // The loaded engine keeps evolving exactly like the source would.
+      TaraEngine grown(original.options());
+      for (WindowId w = 0; w < original.window_count(); ++w) {
+        const WindowInfo& info = data.window(w);
+        grown.AppendWindow(data.database(), info.begin, info.end);
+      }
+      const WindowId appended =
+          engine.AppendWindow(more.database(), extra.begin, extra.end);
+      grown.AppendWindow(more.database(), extra.begin, extra.end);
+      EXPECT_EQ(appended, original.window_count());
+      EXPECT_EQ(EncodeKnowledgeBase(*engine.Snapshot()),
+                EncodeKnowledgeBase(*grown.Snapshot()));
     }
-    // Once every window is materialized the loaded engine streams to the
-    // exact bytes of the source engine — blocks hold the same segment
-    // blobs TARAKB2 does.
-    EXPECT_EQ(KnowledgeBaseToString(*loaded), KnowledgeBaseToString(original));
   }
 }
 
@@ -189,8 +248,8 @@ TEST_F(KbBlocksTest, AppendPacksOnlyNewWindowsIntoFreshBlocks) {
 
   const auto loaded = Open(dir_.string(), OpenMode::kMapped);
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  EXPECT_EQ(KnowledgeBaseToString(*loaded),
-            KnowledgeBaseToString(BuildEngine(data)));
+  EXPECT_EQ(EncodeKnowledgeBase(*loaded->Snapshot()),
+            EncodeKnowledgeBase(*BuildEngine(data).Snapshot()));
 }
 
 TEST_F(KbBlocksTest, MappedOpenMaterializesNothingUntilQueried) {
@@ -371,8 +430,8 @@ TEST_F(KbBlocksTest, MappedAnswersAreByteIdenticalToEager) {
         << "step " << step;
   }
   EXPECT_EQ(appended, data.window_count());
-  EXPECT_EQ(KnowledgeBaseToString(eager_engine),
-            KnowledgeBaseToString(mapped_engine));
+  EXPECT_EQ(EncodeKnowledgeBase(*eager_engine.Snapshot()),
+            EncodeKnowledgeBase(*mapped_engine.Snapshot()));
 }
 
 // TSan target: racing queries must materialize each window exactly once
@@ -406,7 +465,8 @@ TEST_F(KbBlocksTest, ConcurrentQueriesMaterializeLazilyWithoutRacing) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
   ASSERT_TRUE(engine.fully_materialized());
-  EXPECT_EQ(KnowledgeBaseToString(engine), KnowledgeBaseToString(original));
+  EXPECT_EQ(EncodeKnowledgeBase(*engine.Snapshot()),
+            EncodeKnowledgeBase(*original.Snapshot()));
 }
 
 TEST_F(KbBlocksTest, VerifyHashesCatchesEveryInjectedBlockCorruption) {
@@ -563,18 +623,24 @@ TEST_F(KbBlocksTest, RepartitionTrimAndRemoveRoundTrip) {
   const EvolvingDatabase data = MakeData(4);
   const TaraEngine original = BuildEngine(data);
   ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*original.Snapshot(), dir_.string()).has_value());
+      SaveKnowledgeBaseBlocks(*original.Snapshot(), dir_.string()).has_value());
+  const auto saved = ReadKnowledgeBaseBlocksManifest(dir_.string());
+  ASSERT_TRUE(saved.has_value());
+  ASSERT_EQ(saved->blocks.size(), 1u);
 
-  // TARAKB2 -> TARAKB3 conversion is a byte-level move: same windows,
-  // same stream bytes, old per-window files gone.
+  // Splitting is a byte-level move: same windows, same encoded bytes,
+  // the old block file gone.
   ASSERT_FALSE(RepartitionKnowledgeBase(dir_.string(), 4096).has_value());
-  EXPECT_TRUE(KnowledgeBaseBlocksDirExists(dir_.string()));
-  EXPECT_FALSE(fs::exists(dir_ / "manifest.tarakb"));
-  EXPECT_FALSE(fs::exists(dir_ / "window-000000.seg"));
+  const auto split = ReadKnowledgeBaseBlocksManifest(dir_.string());
+  ASSERT_TRUE(split.has_value());
+  EXPECT_GT(split->blocks.size(), 1u);
+  EXPECT_FALSE(fs::exists(
+      dir_ / KnowledgeBaseBlockFileName(saved->blocks[0].file_index)));
   {
     const auto loaded = Open(dir_.string(), OpenMode::kMapped);
     ASSERT_TRUE(loaded.has_value()) << loaded.error();
-    EXPECT_EQ(KnowledgeBaseToString(*loaded), KnowledgeBaseToString(original));
+    EXPECT_EQ(EncodeKnowledgeBase(*loaded->Snapshot()),
+              EncodeKnowledgeBase(*original.Snapshot()));
   }
 
   // Rebalance into one big block: fresh file indices, same bytes.
@@ -595,7 +661,8 @@ TEST_F(KbBlocksTest, RepartitionTrimAndRemoveRoundTrip) {
       const WindowInfo& info = data.window(w);
       prefix.AppendWindow(data.database(), info.begin, info.end);
     }
-    EXPECT_EQ(KnowledgeBaseToString(*loaded), KnowledgeBaseToString(prefix));
+    EXPECT_EQ(EncodeKnowledgeBase(*loaded->Snapshot()),
+              EncodeKnowledgeBase(*prefix.Snapshot()));
   }
   // Over-trim is a typed refusal.
   EXPECT_TRUE(TrimKnowledgeBase(dir_.string(), 7).has_value());
@@ -633,7 +700,7 @@ TEST_F(KbBlocksTest, WalRecoveryOverBlocksReproducesAckedState) {
       const WindowInfo& info = data.window(w);
       engine.AppendWindow(data.database(), info.begin, info.end);
     }
-    reference = KnowledgeBaseToString(engine);
+    reference = EncodeKnowledgeBase(*engine.Snapshot());
   }
 
   // Recover-on-open: mapped checkpoint + WAL tail. Replay forces full
@@ -650,7 +717,7 @@ TEST_F(KbBlocksTest, WalRecoveryOverBlocksReproducesAckedState) {
   EXPECT_TRUE(recovered->fully_materialized());
   EXPECT_EQ(recovered->window_count(), 4u);
   EXPECT_EQ(stats.records_replayed, 2u);
-  EXPECT_EQ(KnowledgeBaseToString(*recovered), reference);
+  EXPECT_EQ(EncodeKnowledgeBase(*recovered->Snapshot()), reference);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Segmented (directory-backed) knowledge-base persistence: round-trips,
-// the O(new window) append contract, and rejection of every kind of
-// on-disk damage as a LoadError value rather than a crash.
+// Durable knowledge-base storage: the TARAKB3 append contract under a
+// crash at every durability step, clean saves, typed refusal of missing,
+// torn, mismatched or leftover TARAKB2 directories, and the segment
+// codec the WAL and the block files share, fuzzed as untrusted input.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -16,9 +17,9 @@
 
 #include "common/crash_point.h"
 #include "common/rng.h"
+#include "core/kb_blocks.h"
 #include "core/kb_open.h"
 #include "core/kb_storage.h"
-#include "core/serialization.h"
 #include "core/tara_engine.h"
 #include "datagen/quest_generator.h"
 #include "txdb/evolving_database.h"
@@ -39,29 +40,32 @@ EvolvingDatabase MakeData(uint32_t windows) {
   return EvolvingDatabase::PartitionIntoBatches(db, windows);
 }
 
-TaraEngine BuildEngine(const EvolvingDatabase& data) {
+TaraEngine::Options EngineOptions() {
   TaraEngine::Options options;
   options.min_support_floor = 0.01;
   options.min_confidence_floor = 0.1;
   options.max_itemset_size = 4;
-  TaraEngine engine(options);
-  engine.BuildAll(data);
+  return options;
+}
+
+/// An engine holding the first `windows` windows of `data`, appended live.
+TaraEngine BuildEngine(const EvolvingDatabase& data, uint32_t windows) {
+  TaraEngine engine(EngineOptions());
+  for (uint32_t w = 0; w < windows; ++w) {
+    const WindowInfo& info = data.window(w);
+    engine.AppendWindow(data.database(), info.begin, info.end);
+  }
   return engine;
 }
 
-/// Eager open through the unified entry point (the legacy
-/// LoadKnowledgeBaseDir shim keeps its own smoke test below).
+std::string Encode(const TaraEngine& engine) {
+  return EncodeKnowledgeBase(*engine.Snapshot());
+}
+
 Expected<TaraEngine, LoadError> Load(const std::string& dir) {
   OpenOptions options;
   options.kb_dir = dir;
   return OpenKnowledgeBase(options);
-}
-
-std::string ReadFile(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  return bytes;
 }
 
 void WriteFile(const fs::path& path, const std::string& bytes) {
@@ -86,257 +90,68 @@ class KbStorageTest : public ::testing::Test {
   fs::path dir_;
 };
 
-TEST_F(KbStorageTest, DirectoryRoundTripPreservesQueryAnswers) {
-  const EvolvingDatabase data = MakeData(4);
-  const TaraEngine original = BuildEngine(data);
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*original.Snapshot(), dir_.string()).has_value());
-
-  // Layout: one manifest plus one segment file per window.
-  EXPECT_TRUE(fs::exists(dir_ / "manifest.tarakb"));
-  for (uint32_t w = 0; w < 4; ++w) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "window-%06u.seg", w);
-    EXPECT_TRUE(fs::exists(dir_ / name)) << name;
-  }
-
-  const auto loaded = Load(dir_.string());
-  ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  const TaraEngine& engine = *loaded;
-  EXPECT_EQ(engine.window_count(), original.window_count());
-  EXPECT_EQ(engine.catalog().size(), original.catalog().size());
-  const ParameterSetting setting{0.02, 0.3};
-  for (WindowId w = 0; w < original.window_count(); ++w) {
-    EXPECT_EQ(engine.MineWindow(w, setting).value(),
-              original.MineWindow(w, setting).value());
-  }
-  // Loaded-then-streamed equals streamed directly: the directory holds
-  // exactly the same segmented bytes as the single-stream format.
-  EXPECT_EQ(KnowledgeBaseToString(engine), KnowledgeBaseToString(original));
-}
-
-TEST_F(KbStorageTest, AppendRewritesOnlyNewSegmentsAndManifest) {
-  const EvolvingDatabase data = MakeData(4);
-
-  // Save the first three windows, then append the fourth live.
-  TaraEngine engine = BuildEngine(EvolvingDatabase());
-  for (uint32_t w = 0; w < 3; ++w) {
-    const WindowInfo& info = data.window(w);
-    engine.AppendWindow(data.database(), info.begin, info.end);
-  }
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-  std::vector<std::string> old_segments;
-  for (uint32_t w = 0; w < 3; ++w) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "window-%06u.seg", w);
-    old_segments.push_back(ReadFile(dir_ / name));
-  }
-
-  const WindowInfo& info = data.window(3);
-  engine.AppendWindow(data.database(), info.begin, info.end);
-  ASSERT_FALSE(
-      AppendKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-
-  // The three old segment files are byte-identical — append touched only
-  // window-000003.seg and the manifest.
-  for (uint32_t w = 0; w < 3; ++w) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "window-%06u.seg", w);
-    EXPECT_EQ(ReadFile(dir_ / name), old_segments[w]) << name;
-  }
-  EXPECT_TRUE(fs::exists(dir_ / "window-000003.seg"));
-
-  // And the appended directory loads to the same knowledge base as a
-  // from-scratch build over all four windows.
-  const auto loaded = Load(dir_.string());
-  ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  EXPECT_EQ(KnowledgeBaseToString(*loaded),
-            KnowledgeBaseToString(BuildEngine(data)));
-}
-
 TEST_F(KbStorageTest, AppendIntoEmptyDirectoryDoesAFullSave) {
   const EvolvingDatabase data = MakeData(2);
-  const TaraEngine engine = BuildEngine(data);
+  const TaraEngine engine = BuildEngine(data, 2);
   ASSERT_FALSE(
-      AppendKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
+      AppendKnowledgeBaseBlocks(*engine.Snapshot(), dir_.string()).has_value());
   const auto loaded = Load(dir_.string());
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  EXPECT_EQ(loaded->window_count(), 2u);
+  EXPECT_EQ(Encode(*loaded), Encode(engine));
 }
 
 TEST_F(KbStorageTest, AppendRefusesAMismatchedDirectory) {
-  const TaraEngine first = BuildEngine(MakeData(3));
+  const EvolvingDatabase data = MakeData(3);
+  const TaraEngine first = BuildEngine(data, 3);
   ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*first.Snapshot(), dir_.string()).has_value());
+      SaveKnowledgeBaseBlocks(*first.Snapshot(), dir_.string()).has_value());
 
-  // A different engine (different floors) must not append over it.
+  // A different engine (different floors) must not append over it...
   TaraEngine::Options options;
   options.min_support_floor = 0.02;
   options.min_confidence_floor = 0.2;
-  TaraEngine other(options);
-  const auto error = AppendKnowledgeBaseDir(*other.Snapshot(), dir_.string());
+  const TaraEngine other(options);
+  auto error = AppendKnowledgeBaseBlocks(*other.Snapshot(), dir_.string());
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->code, LoadError::Code::kBadManifest);
+
+  // ...nor one with the same floors but a shorter history.
+  const TaraEngine shorter = BuildEngine(data, 2);
+  error = AppendKnowledgeBaseBlocks(*shorter.Snapshot(), dir_.string());
   ASSERT_TRUE(error.has_value());
   EXPECT_EQ(error->code, LoadError::Code::kBadManifest);
 }
 
-TEST_F(KbStorageTest, RejectsCorruptedSegment) {
-  const TaraEngine engine = BuildEngine(MakeData(3));
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-
-  const fs::path victim = dir_ / "window-000001.seg";
-  std::string bytes = ReadFile(victim);
-  ASSERT_GT(bytes.size(), 16u);
-  bytes[bytes.size() / 2] ^= 0x5a;  // flip bits mid-segment
-  WriteFile(victim, bytes);
-
-  const auto loaded = Load(dir_.string());
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.error().code, LoadError::Code::kCorruptSegment);
-  EXPECT_NE(loaded.error().message.find("window 1"), std::string::npos)
-      << loaded.error().message;
-}
-
-TEST_F(KbStorageTest, RejectsTruncatedSegmentFile) {
-  const TaraEngine engine = BuildEngine(MakeData(2));
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-  const fs::path victim = dir_ / "window-000000.seg";
-  const std::string bytes = ReadFile(victim);
-  WriteFile(victim, bytes.substr(0, bytes.size() / 2));
-  const auto loaded = Load(dir_.string());
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.error().code, LoadError::Code::kCorruptSegment);
-}
-
-TEST_F(KbStorageTest, RejectsTruncatedOrGarbageManifest) {
-  const TaraEngine engine = BuildEngine(MakeData(2));
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-  const fs::path manifest = dir_ / "manifest.tarakb";
-  const std::string bytes = ReadFile(manifest);
-
-  WriteFile(manifest, bytes.substr(0, bytes.size() - 5));
-  auto loaded = Load(dir_.string());
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.error().code, LoadError::Code::kTruncated);
-
-  WriteFile(manifest, "definitely not a manifest");
-  loaded = Load(dir_.string());
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.error().code, LoadError::Code::kBadMagic);
-
-  WriteFile(manifest, bytes + "tail");
-  loaded = Load(dir_.string());
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.error().code, LoadError::Code::kTrailingBytes);
-}
-
-// Corruption fuzz smoke: seeded single-byte flips and truncations of a
-// valid serialized knowledge base. Every mutation must come back as a
-// loaded engine or a typed LoadError — never a crash, hang, or (under
-// the ASan preset) a leak. A flipped byte may land somewhere the decoder
-// legitimately tolerates (a rule's count, say), so a successful load is
-// acceptable; an abort is not.
-TEST(KbStorageFuzz, SingleByteFlipsNeverCrashTheStreamLoader) {
-  const TaraEngine engine = BuildEngine(MakeData(2));
-  const std::string valid = KnowledgeBaseToString(engine);
-  ASSERT_GT(valid.size(), 256u);
-  ASSERT_TRUE(KnowledgeBaseFromString(valid).has_value());
-
-  Rng rng(0xF00DF00D);
-  int rejected = 0;
-  constexpr int kFlips = 150;
-  for (int i = 0; i < kFlips; ++i) {
-    std::string mutated = valid;
-    const size_t pos = rng.NextBounded(mutated.size());
-    mutated[pos] ^= static_cast<char>(1 + rng.NextBounded(255));
-    const auto loaded = KnowledgeBaseFromString(mutated);
-    if (!loaded.has_value()) {
-      ++rejected;
-      EXPECT_FALSE(loaded.error().message.empty());
-    }
-  }
-  // The format is dense: the vast majority of flips must be detected.
-  EXPECT_GT(rejected, kFlips / 2);
-}
-
-TEST(KbStorageFuzz, TruncationsNeverCrashTheStreamLoader) {
-  const TaraEngine engine = BuildEngine(MakeData(2));
-  const std::string valid = KnowledgeBaseToString(engine);
-
-  Rng rng(0xBADC0FFE);
-  for (int i = 0; i < 50; ++i) {
-    const auto loaded =
-        KnowledgeBaseFromString(valid.substr(0, rng.NextBounded(valid.size())));
-    // A strict prefix can never be a whole knowledge base.
-    ASSERT_FALSE(loaded.has_value());
-    EXPECT_FALSE(loaded.error().message.empty());
-  }
-  // Every exact-boundary truncation near the tail as well.
-  for (size_t cut = valid.size() - 16; cut < valid.size(); ++cut) {
-    ASSERT_FALSE(KnowledgeBaseFromString(valid.substr(0, cut)).has_value());
-  }
-}
-
-TEST_F(KbStorageTest, ManifestByteFlipsNeverCrashTheDirectoryLoader) {
-  const TaraEngine engine = BuildEngine(MakeData(2));
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-  const fs::path manifest = dir_ / "manifest.tarakb";
-  const std::string valid = ReadFile(manifest);
-
-  Rng rng(0xD15EA5E);
-  int rejected = 0;
-  constexpr int kFlips = 50;
-  for (int i = 0; i < kFlips; ++i) {
-    std::string mutated = valid;
-    const size_t pos = rng.NextBounded(mutated.size());
-    mutated[pos] ^= static_cast<char>(1 + rng.NextBounded(255));
-    WriteFile(manifest, mutated);
-    if (!Load(dir_.string()).has_value()) ++rejected;
-  }
-  EXPECT_GT(rejected, kFlips / 2);
-
-  // Restored manifest loads again: the fuzz loop left no side effects.
-  WriteFile(manifest, valid);
-  EXPECT_TRUE(Load(dir_.string()).has_value());
-}
-
 TEST_F(KbStorageTest, ZeroLengthManifestIsATypedTornWriteError) {
-  // The signature damage of the old in-place truncating rewrite: a
-  // crash after open(trunc) but before the write left a 0-byte
-  // manifest. The loader must name the torn write, not crash or claim
-  // "wrong file format".
-  const TaraEngine engine = BuildEngine(MakeData(2));
+  // The signature damage of an in-place truncating rewrite: a crash
+  // after open(trunc) but before the write leaves a 0-byte manifest.
+  // The loader must name the torn write, not crash or claim "wrong file
+  // format".
+  const TaraEngine engine = BuildEngine(MakeData(2), 2);
   ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-  WriteFile(dir_ / "manifest.tarakb", "");
+      SaveKnowledgeBaseBlocks(*engine.Snapshot(), dir_.string()).has_value());
+  WriteFile(dir_ / KnowledgeBaseBlocksManifestFileName(), "");
   const auto loaded = Load(dir_.string());
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.error().code, LoadError::Code::kTruncated);
   EXPECT_NE(loaded.error().message.find("zero-length"), std::string::npos)
       << loaded.error().message;
   // Appending over it refuses for the same typed reason.
-  const auto append = AppendKnowledgeBaseDir(*engine.Snapshot(), dir_.string());
+  const auto append =
+      AppendKnowledgeBaseBlocks(*engine.Snapshot(), dir_.string());
   ASSERT_TRUE(append.has_value());
   EXPECT_EQ(append->code, LoadError::Code::kTruncated);
 }
 
 TEST_F(KbStorageTest, CleanSavesLeaveNoTempFiles) {
-  TaraEngine engine = BuildEngine(EvolvingDatabase());
   const EvolvingDatabase data = MakeData(3);
-  for (uint32_t w = 0; w < 2; ++w) {
-    const WindowInfo& info = data.window(w);
-    engine.AppendWindow(data.database(), info.begin, info.end);
-  }
+  TaraEngine engine = BuildEngine(data, 2);
   ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
+      SaveKnowledgeBaseBlocks(*engine.Snapshot(), dir_.string()).has_value());
   const WindowInfo& info = data.window(2);
   engine.AppendWindow(data.database(), info.begin, info.end);
   ASSERT_FALSE(
-      AppendKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
+      AppendKnowledgeBaseBlocks(*engine.Snapshot(), dir_.string()).has_value());
   for (const fs::directory_entry& entry : fs::directory_iterator(dir_)) {
     EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
   }
@@ -344,24 +159,22 @@ TEST_F(KbStorageTest, CleanSavesLeaveNoTempFiles) {
 
 // Crash-point matrix: kill the process (SIGKILL, no destructors — the
 // user-space stand-in for a power cut) between every pair of durability
-// steps inside AppendKnowledgeBaseDir, then require the directory to
+// steps inside AppendKnowledgeBaseBlocks, then require the directory to
 // load as either the old 3-window prefix or the full 4-window KB,
-// byte-identical to an uncrashed reference either way. Exercises every
-// write/fsync/rename/dirsync boundary until one run completes cleanly.
+// byte-identical to an uncrashed reference either way, and a re-run of
+// the append over whatever the crash left to complete the KB. Exercises
+// every write/fsync/rename/dirsync boundary until one run completes
+// cleanly.
 TEST_F(KbStorageTest, AppendSurvivesACrashAtEveryDurabilityStep) {
   const EvolvingDatabase data = MakeData(4);
-  TaraEngine engine = BuildEngine(EvolvingDatabase());
-  for (uint32_t w = 0; w < 3; ++w) {
-    const WindowInfo& info = data.window(w);
-    engine.AppendWindow(data.database(), info.begin, info.end);
-  }
+  TaraEngine engine = BuildEngine(data, 3);
   const fs::path seed_dir = dir_ / "seed";
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), seed_dir.string()).has_value());
-  const std::string reference3 = KnowledgeBaseToString(engine);
+  ASSERT_FALSE(SaveKnowledgeBaseBlocks(*engine.Snapshot(), seed_dir.string())
+                   .has_value());
+  const std::string reference3 = Encode(engine);
   const WindowInfo& info = data.window(3);
   engine.AppendWindow(data.database(), info.begin, info.end);
-  const std::string reference4 = KnowledgeBaseToString(engine);
+  const std::string reference4 = Encode(engine);
 
   bool completed_cleanly = false;
   for (long crash_at = 0; crash_at < 64 && !completed_cleanly; ++crash_at) {
@@ -375,7 +188,7 @@ TEST_F(KbStorageTest, AppendSurvivesACrashAtEveryDurabilityStep) {
       // pass via the exit code. _exit skips gtest/atexit teardown.
       ArmCrashPoint(crash_at);
       const auto error =
-          AppendKnowledgeBaseDir(*engine.Snapshot(), trial.string());
+          AppendKnowledgeBaseBlocks(*engine.Snapshot(), trial.string());
       _exit(error.has_value() ? 2 : 0);
     }
     int status = 0;
@@ -389,18 +202,32 @@ TEST_F(KbStorageTest, AppendSurvivesACrashAtEveryDurabilityStep) {
     }
     // Killed or not, the directory must load — to the old prefix or the
     // fully-appended KB, never anything else and never an error.
-    const auto loaded = Load(trial.string());
-    ASSERT_TRUE(loaded.has_value())
-        << "crash point " << crash_at << ": " << loaded.error();
-    const std::string recovered = KnowledgeBaseToString(*loaded);
-    if (loaded->window_count() == 3u) {
-      EXPECT_EQ(recovered, reference3) << "crash point " << crash_at;
-      EXPECT_FALSE(completed_cleanly)
-          << "a clean append must surface the new window";
-    } else {
-      ASSERT_EQ(loaded->window_count(), 4u) << "crash point " << crash_at;
-      EXPECT_EQ(recovered, reference4) << "crash point " << crash_at;
+    for (const OpenMode mode : {OpenMode::kEager, OpenMode::kMapped}) {
+      OpenOptions options;
+      options.kb_dir = trial.string();
+      options.mode = mode;
+      options.verify = OpenVerify::kHashes;
+      const auto loaded = OpenKnowledgeBase(options);
+      ASSERT_TRUE(loaded.has_value())
+          << "crash point " << crash_at << ": " << loaded.error();
+      const std::string recovered = Encode(*loaded);
+      if (loaded->window_count() == 3u) {
+        EXPECT_EQ(recovered, reference3) << "crash point " << crash_at;
+        EXPECT_FALSE(completed_cleanly)
+            << "a clean append must surface the new window";
+      } else {
+        ASSERT_EQ(loaded->window_count(), 4u) << "crash point " << crash_at;
+        EXPECT_EQ(recovered, reference4) << "crash point " << crash_at;
+      }
     }
+    // The checkpoint retried over the debris (an unreferenced block file,
+    // a stray .tmp) completes the knowledge base.
+    ASSERT_FALSE(AppendKnowledgeBaseBlocks(*engine.Snapshot(), trial.string())
+                     .has_value())
+        << "crash point " << crash_at;
+    const auto retried = Load(trial.string());
+    ASSERT_TRUE(retried.has_value()) << retried.error();
+    EXPECT_EQ(Encode(*retried), reference4) << "crash point " << crash_at;
   }
   EXPECT_TRUE(completed_cleanly)
       << "crash-point matrix never exhausted the injection sites";
@@ -412,36 +239,145 @@ TEST_F(KbStorageTest, RejectsMissingPieces) {
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.error().code, LoadError::Code::kIoError);
 
-  const TaraEngine engine = BuildEngine(MakeData(2));
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-  fs::remove(dir_ / "window-000001.seg");
-  loaded = Load(dir_.string());
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.error().code, LoadError::Code::kIoError);
+  // A block file the manifest names is gone: a typed error for every
+  // open mode, and for the db tooling that reads the blocks.
+  const TaraEngine engine = BuildEngine(MakeData(3), 3);
+  ASSERT_FALSE(SaveKnowledgeBaseBlocks(*engine.Snapshot(), dir_.string(), 4096)
+                   .has_value());
+  const auto manifest = ReadKnowledgeBaseBlocksManifest(dir_.string());
+  ASSERT_TRUE(manifest.has_value()) << manifest.error();
+  ASSERT_GT(manifest->blocks.size(), 1u);
+  fs::remove(dir_ /
+             KnowledgeBaseBlockFileName(manifest->blocks.back().file_index));
+  for (const OpenMode mode : {OpenMode::kEager, OpenMode::kMapped}) {
+    OpenOptions options;
+    options.kb_dir = dir_.string();
+    options.mode = mode;
+    loaded = OpenKnowledgeBase(options);
+    ASSERT_FALSE(loaded.has_value());
+    EXPECT_EQ(loaded.error().code, LoadError::Code::kIoError);
+  }
+  const auto split = RepartitionKnowledgeBase(dir_.string());
+  ASSERT_TRUE(split.has_value());
+  EXPECT_EQ(split->code, LoadError::Code::kIoError);
 }
 
-// The deprecated entry points must keep compiling and working — they
-// route through OpenKnowledgeBase (so TARAKB3 directories work through
-// them too) after a one-time stderr deprecation note.
-TEST_F(KbStorageTest, LegacyLoaderShimsStillWork) {
-  const EvolvingDatabase data = MakeData(2);
-  const TaraEngine original = BuildEngine(data);
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*original.Snapshot(), dir_.string()).has_value());
+// A directory an older build left in the TARAKB2 layout (manifest.tarakb
+// plus one window-NNNNNN.seg per window, no blocks manifest) is refused
+// as kBadVersion on every path. It must never open as an empty knowledge
+// base, never be rebuilt from the WAL alone (that would drop its
+// checkpointed windows), and never be saved over.
+TEST_F(KbStorageTest, RefusesALeftoverTarakb2Directory) {
+  const EvolvingDatabase data = MakeData(3);
+  const TaraEngine engine = BuildEngine(data, 2);
+  const fs::path kb = dir_ / "kb";
+  fs::create_directories(kb);
+  // The canonical encoding starts with the TARAKB2 manifest; the segment
+  // files hold the same blobs the block files do.
+  WriteFile(kb / "manifest.tarakb", Encode(engine));
+  for (WindowId w = 0; w < 2; ++w) {
+    const std::vector<uint8_t> segment =
+        EncodeWindowSegment(*engine.Snapshot(), w);
+    char name[32];
+    std::snprintf(name, sizeof(name), "window-%06u.seg", w);
+    WriteFile(kb / name, std::string(segment.begin(), segment.end()));
+  }
 
-  const auto loaded = LoadKnowledgeBaseDir(dir_.string());
-  ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  EXPECT_EQ(loaded->window_count(), original.window_count());
-  EXPECT_EQ(KnowledgeBaseToString(*loaded), KnowledgeBaseToString(original));
-
-  // RecoverKnowledgeBase without an existing WAL creates one over the
-  // checkpoint, exactly as before the redesign.
+  // A write-ahead log holding a window past the leftover checkpoint.
   const std::string wal_dir = (dir_ / "wal").string();
-  const auto recovered = RecoverKnowledgeBase(dir_.string(), wal_dir);
-  ASSERT_TRUE(recovered.has_value()) << recovered.error();
-  EXPECT_EQ(recovered->window_count(), original.window_count());
-  EXPECT_TRUE(recovered->wal_attached());
+  {
+    TaraEngine logged = BuildEngine(data, 2);
+    ASSERT_TRUE(logged.AttachWal(wal_dir).has_value());
+    const WindowInfo& info = data.window(2);
+    logged.AppendWindow(data.database(), info.begin, info.end);
+  }
+  const std::string missing_wal = (dir_ / "no_wal").string();
+
+  for (const std::string& wal : {std::string(), wal_dir, missing_wal}) {
+    for (const OpenMode mode : {OpenMode::kEager, OpenMode::kMapped}) {
+      OpenOptions options;
+      options.kb_dir = kb.string();
+      options.wal_dir = wal;
+      options.mode = mode;
+      const auto opened = OpenKnowledgeBase(options);
+      ASSERT_FALSE(opened.has_value()) << "wal_dir '" << wal << "'";
+      EXPECT_EQ(opened.error().code, LoadError::Code::kBadVersion)
+          << "wal_dir '" << wal << "': " << opened.error();
+      EXPECT_NE(opened.error().message.find("TARAKB2"), std::string::npos)
+          << opened.error().message;
+    }
+  }
+  EXPECT_FALSE(fs::exists(missing_wal)) << "a refused open created a log";
+
+  const auto append = AppendKnowledgeBaseBlocks(*engine.Snapshot(), kb);
+  ASSERT_TRUE(append.has_value());
+  EXPECT_EQ(append->code, LoadError::Code::kBadVersion);
+  EXPECT_FALSE(KnowledgeBaseBlocksDirExists(kb));
+  for (const auto& refused :
+       {RepartitionKnowledgeBase(kb), TrimKnowledgeBase(kb, 1),
+        RemoveKnowledgeBase(kb)}) {
+    ASSERT_TRUE(refused.has_value());
+    EXPECT_EQ(refused->code, LoadError::Code::kBadVersion);
+  }
+  EXPECT_TRUE(fs::exists(kb / "manifest.tarakb"));
+  EXPECT_TRUE(fs::exists(kb / "window-000001.seg"));
+}
+
+// The segment codec fuzz: seeded single-byte flips and truncations of a
+// real window segment — the bytes the WAL, the replication record and
+// the block files carry. Every mutation must come back as a decoded
+// segment or a typed LoadError — never a crash, hang, or (under the ASan
+// preset) a leak. A flipped byte may land somewhere the codec
+// legitimately tolerates (a rule's count, say), so a successful decode
+// is acceptable; an abort is not.
+TEST(KbStorageFuzz, SingleByteFlipsNeverCrashTheSegmentDecoder) {
+  const TaraEngine engine = BuildEngine(MakeData(2), 2);
+  const auto snapshot = engine.Snapshot();
+  const std::vector<uint8_t> valid = EncodeWindowSegment(*snapshot, 1);
+  ASSERT_GT(valid.size(), 64u);
+  ASSERT_TRUE(
+      DecodeWindowSegment(valid.data(), valid.size(), snapshot->catalog())
+          .has_value());
+
+  Rng rng(0xF00DF00D);
+  for (int i = 0; i < 300; ++i) {
+    std::vector<uint8_t> mutated = valid;
+    const size_t pos = rng.NextBounded(mutated.size());
+    mutated[pos] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
+    const auto decoded = DecodeWindowSegment(mutated.data(), mutated.size(),
+                                             snapshot->catalog());
+    if (!decoded.has_value()) {
+      EXPECT_EQ(decoded.error().code, LoadError::Code::kCorruptSegment);
+      EXPECT_FALSE(decoded.error().message.empty());
+    }
+  }
+}
+
+TEST(KbStorageFuzz, TruncationsNeverCrashTheSegmentDecoder) {
+  const TaraEngine engine = BuildEngine(MakeData(2), 2);
+  const auto snapshot = engine.Snapshot();
+  const std::vector<uint8_t> valid = EncodeWindowSegment(*snapshot, 1);
+
+  Rng rng(0xBADC0FFE);
+  for (int i = 0; i < 50; ++i) {
+    // A strict prefix can never be a whole segment.
+    const size_t cut = rng.NextBounded(valid.size());
+    const auto decoded =
+        DecodeWindowSegment(valid.data(), cut, snapshot->catalog());
+    ASSERT_FALSE(decoded.has_value()) << "cut at " << cut;
+    EXPECT_EQ(decoded.error().code, LoadError::Code::kCorruptSegment);
+  }
+  // Every exact-boundary truncation near the tail as well, and one
+  // trailing byte too many.
+  for (size_t cut = valid.size() - 16; cut < valid.size(); ++cut) {
+    ASSERT_FALSE(DecodeWindowSegment(valid.data(), cut, snapshot->catalog())
+                     .has_value());
+  }
+  std::vector<uint8_t> longer = valid;
+  longer.push_back(0);
+  EXPECT_FALSE(DecodeWindowSegment(longer.data(), longer.size(),
+                                   snapshot->catalog())
+                   .has_value());
 }
 
 }  // namespace

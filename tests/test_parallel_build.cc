@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/serialization.h"
+#include "core/kb_storage.h"
 #include "core/tara_engine.h"
 #include "datagen/basket_generators.h"
 #include "txdb/evolving_database.h"
@@ -43,7 +43,7 @@ std::string BuildSerialized(const EvolvingDatabase& data, uint32_t parallelism,
   options.build_content_index = content_index;
   TaraEngine engine(options);
   engine.BuildAll(data);
-  return KnowledgeBaseToString(engine);
+  return EncodeKnowledgeBase(*engine.Snapshot());
 }
 
 TEST(ParallelBuildTest, ParallelKnowledgeBaseIsByteIdentical) {
@@ -99,7 +99,8 @@ TEST(ParallelBuildTest, ParallelAppendWindowMatchesSequential) {
   const WindowInfo& info = data.window(0);
   sequential.AppendWindow(data.database(), info.begin, info.end);
   parallel.AppendWindow(data.database(), info.begin, info.end);
-  EXPECT_EQ(KnowledgeBaseToString(parallel), KnowledgeBaseToString(sequential));
+  EXPECT_EQ(EncodeKnowledgeBase(*parallel.Snapshot()),
+            EncodeKnowledgeBase(*sequential.Snapshot()));
 }
 
 TEST(ParallelBuildTest, BuildStatsArePopulatedPerWindow) {

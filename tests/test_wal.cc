@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "common/crash_point.h"
+#include "core/kb_blocks.h"
 #include "core/kb_open.h"
 #include "core/kb_storage.h"
 #include "core/tara_engine.h"
@@ -141,7 +142,7 @@ TEST_F(WalTest, CheckpointTruncatesAndTailReplaysOnTop) {
   }
   // Checkpoint: windows 0-1 land durably in the directory, then the log
   // resets to its header.
-  ASSERT_FALSE(AppendKnowledgeBaseDir(*engine.Snapshot(), kb_dir_));
+  ASSERT_FALSE(AppendKnowledgeBaseBlocks(*engine.Snapshot(), kb_dir_));
   ASSERT_FALSE(engine.TruncateWal().has_value());
   {
     const auto contents = ReadWal(wal_dir_);
@@ -244,7 +245,7 @@ TEST_F(WalTest, MismatchedOptionsAndGapsAreTypedErrors) {
     auto result = Recover(kb_dir_, wal_dir_);
     ASSERT_TRUE(result.has_value()) << result.error();
     TaraEngine engine = std::move(result).value();
-    ASSERT_FALSE(AppendKnowledgeBaseDir(*engine.Snapshot(), kb_dir_));
+    ASSERT_FALSE(AppendKnowledgeBaseBlocks(*engine.Snapshot(), kb_dir_));
     ASSERT_FALSE(engine.TruncateWal().has_value());
     const WindowInfo& info = data.window(1);
     engine.AppendWindow(data.database(), info.begin, info.end);
@@ -320,7 +321,7 @@ class WalCrashTest : public WalTest {
       if (w == 1) {
         // Mid-run checkpoint: directory save + log truncation, both of
         // which have their own injected crash points.
-        if (AppendKnowledgeBaseDir(*engine.Snapshot(), kb_dir_)) _exit(2);
+        if (AppendKnowledgeBaseBlocks(*engine.Snapshot(), kb_dir_)) _exit(2);
         if (engine.TruncateWal().has_value()) _exit(2);
       }
       if (delay_us > 0) ::usleep(delay_us);

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Crash-recovery smoke test: kill -9 a live-appending `tara_cli serve`
-# running with a write-ahead log, recover with `tara_cli recover`, and
-# require the recovered knowledge-base directory to be byte-identical to
-# an uncrashed reference holding the same acked windows. Then restart
+# running with a write-ahead log, recover with `tara_cli wal recover`,
+# and require the recovered knowledge-base directory to be byte-identical
+# to an uncrashed reference holding the same acked windows. Then restart
 # the server on the recovered state and shut it down cleanly.
 #
 #   crash_recovery_smoke.sh /path/to/tara_cli
@@ -32,9 +32,14 @@ done > "$WORK/w5.txt"
 
 # Seed checkpoint the server loads, and uncrashed references at 7 and 8
 # windows (the CLI and the serve bootstrap build the same deterministic
-# Quest base from these parameters).
+# Quest base from these parameters). Block layout follows checkpoint
+# cadence, so each reference is built the way recovery builds the
+# server's directory: the 3-window seed save, then one append of every
+# ingested window into the same directory.
 printf 'gen quest 2000 100\nwindows 3\nbuild 0.01 0.1\nsavedir %s\nquit\n' \
   "$WORK/kb" | "$CLI" > /dev/null
+cp -r "$WORK/kb" "$WORK/ref7"
+cp -r "$WORK/kb" "$WORK/ref8"
 printf 'gen quest 2000 100\nwindows 3\nbuild 0.01 0.1\ningest %s\ningest %s\ningest %s\ningest %s\nsavedir %s\nquit\n' \
   "$WORK/w1.txt" "$WORK/w2.txt" "$WORK/w3.txt" "$WORK/w4.txt" \
   "$WORK/ref7" | "$CLI" > /dev/null
@@ -78,7 +83,7 @@ wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 rm -f "$WORK/port"
 
-"$CLI" recover "$WORK/kb" --wal "$WORK/wal" 2> "$WORK/recover.log"
+"$CLI" wal recover --kb "$WORK/kb" --wal "$WORK/wal" 2> "$WORK/recover.log"
 cat "$WORK/recover.log"
 COUNT=$(sed -n 's/^recovered \([0-9][0-9]*\) windows.*/\1/p' "$WORK/recover.log")
 case "$COUNT" in

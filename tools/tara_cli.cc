@@ -14,10 +14,9 @@
 //   metrics [json]              # engine instrument snapshot
 //   cache 16777216              # enable the generation-pinned query cache
 //   batch queries.q             # replay a query script, per-query latency
-//   save kb.bin / loadkb kb.bin # knowledge-base persistence (one stream)
-//   savedir kb/ / loaddir kb/   # segmented persistence (one file/window)
+//   savedir kb/ / loaddir kb/   # TARAKB3 knowledge-base directory
 //   ingest day9.txt             # live-append a window; persists only the
-//                               # new segment when a directory is attached
+//                               # new window when a directory is attached
 //   help / quit
 //
 // With --metrics, a text snapshot of every instrument (per-query-kind
@@ -40,8 +39,6 @@
 #include "core/exploration.h"
 #include "core/kb_blocks.h"
 #include "core/kb_open.h"
-#include "core/kb_storage.h"
-#include "core/serialization.h"
 #include "core/tara_engine.h"
 #include "datagen/basket_generators.h"
 #include "datagen/quest_generator.h"
@@ -205,10 +202,6 @@ class Session {
       Wal(in);
     } else if (command == "batch") {
       Batch(in);
-    } else if (command == "save") {
-      SaveKb(in);
-    } else if (command == "loadkb") {
-      LoadKb(in);
     } else if (command == "savedir") {
       SaveDir(in);
     } else if (command == "loaddir") {
@@ -246,10 +239,10 @@ class Session {
         "                        | rollup R [W...] | rollupmine S C [W...]);\n"
         "                        'group' sends one ExecuteBatch instead of\n"
         "                        per-query calls\n"
-        "  save FILE | loadkb FILE   knowledge-base persistence (stream)\n"
-        "  savedir DIR | loaddir DIR  segmented persistence (attaches DIR)\n"
+        "  savedir DIR | loaddir DIR [mmap]   knowledge-base directory\n"
+        "                        (TARAKB3; attaches DIR)\n"
         "  ingest FILE           append FILE as a new window; persists only\n"
-        "                        the new segment when a DIR is attached\n"
+        "                        the new window when a DIR is attached\n"
         "  quit\n");
   }
 
@@ -348,7 +341,7 @@ class Session {
     ResetEngine();
     engine_ = std::make_unique<TaraEngine>(options);
     // Attach before building so every built window is in the log and a
-    // crashed session can be rebuilt from the log alone (recover).
+    // crashed session can be rebuilt from the log alone (wal recover).
     if (!wal_dir_.empty() && !AttachWalToEngine()) {
       engine_.reset();
       return;
@@ -522,7 +515,7 @@ class Session {
   }
 
   /// After a successful checkpoint (savedir/ingest persistence), the log
-  /// records are covered by segments + manifest and can be retired.
+  /// records are covered by the directory and can be retired.
   void TruncateWalAfterCheckpoint() {
     if (engine_ == nullptr || !engine_->wal_attached()) return;
     if (const auto error = engine_->TruncateWal()) {
@@ -631,44 +624,11 @@ class Session {
     PrintCacheStats(before);
   }
 
-  void SaveKb(std::istringstream& in) {
-    std::string path;
-    if (!(in >> path) || !Ready()) return;
-    std::ofstream file(path, std::ios::binary);
-    SaveKnowledgeBase(*engine_, &file);
-    std::printf("saved knowledge base to %s\n", path.c_str());
-  }
-
-  void LoadKb(std::istringstream& in) {
-    std::string path;
-    if (!(in >> path)) return;
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
-      std::printf("cannot open %s\n", path.c_str());
-      return;
-    }
-    Expected<TaraEngine, LoadError> loaded =
-        LoadKnowledgeBase(&file, &Registry());
-    if (!loaded.has_value()) {
-      std::ostringstream out;
-      out << loaded.error();
-      std::printf("failed: %s\n", out.str().c_str());
-      return;
-    }
-    ResetEngine();
-    engine_ = std::make_unique<TaraEngine>(std::move(loaded).value());
-    if (cache_bytes_ > 0) engine_->SetQueryCacheBytes(cache_bytes_);
-    if (!wal_dir_.empty()) AttachWalToEngine();
-    std::printf("loaded knowledge base: %u windows, %zu rules\n",
-                engine_->window_count(), engine_->catalog().size());
-  }
-
   void SaveDir(std::istringstream& in) {
     std::string dir;
     if (!(in >> dir) || !Ready()) return;
-    // Incremental by design: an already-saved prefix is left untouched,
-    // in whichever format the directory already holds.
-    if (!StoreOk(CheckpointKnowledgeBaseDir(*engine_->Snapshot(), dir))) {
+    // Incremental by design: an already-saved prefix is left untouched.
+    if (!StoreOk(AppendKnowledgeBaseBlocks(*engine_->Snapshot(), dir))) {
       return;
     }
     attached_dir_ = dir;
@@ -732,10 +692,10 @@ class Session {
                 batch.size(), window,
                 static_cast<unsigned long long>(engine_->generation()));
     if (attached_dir_.empty()) return;
-    // Persists only the new window's segment plus the manifest.
-    if (StoreOk(CheckpointKnowledgeBaseDir(*engine_->Snapshot(),
-                                           attached_dir_))) {
-      std::printf("persisted new segment into %s\n", attached_dir_.c_str());
+    // Persists only the new window's block plus the manifest.
+    if (StoreOk(AppendKnowledgeBaseBlocks(*engine_->Snapshot(),
+                                          attached_dir_))) {
+      std::printf("persisted new window into %s\n", attached_dir_.c_str());
       TruncateWalAfterCheckpoint();
     }
   }
@@ -750,7 +710,7 @@ class Session {
   std::optional<TransactionDatabase> db_;
   std::optional<EvolvingDatabase> data_;
   std::unique_ptr<TaraEngine> engine_;
-  /// Segmented knowledge-base directory that `ingest` appends to.
+  /// Knowledge-base directory that `ingest` appends to.
   std::string attached_dir_;
   /// Query-cache budget set via `cache`; applied to the current engine
   /// immediately and to every engine built or loaded afterwards.
@@ -886,8 +846,7 @@ class RemoteShell {
   uint32_t window_count_ = 0;
 };
 
-/// `tara_cli wal recover --kb DIR --wal DIR` (legacy alias:
-/// `tara_cli recover KBDIR --wal WALDIR`): load the checkpoint (if one
+/// `tara_cli wal recover --kb DIR --wal DIR`: load the checkpoint (if one
 /// exists), replay the log tail, checkpoint the recovered state back
 /// into the directory, and retire the log. Exit 0 means the directory
 /// now holds every acked window and the log is empty.
@@ -899,8 +858,6 @@ int RunRecover(int argc, char** argv) {
       wal_dir = argv[++i];
     } else if (arg == "--kb" && i + 1 < argc) {
       kb_dir = argv[++i];
-    } else if (kb_dir.empty() && arg[0] != '-') {
-      kb_dir = arg;
     } else {
       kb_dir.clear();
       break;
@@ -920,7 +877,7 @@ int RunRecover(int argc, char** argv) {
   if (!recovered.has_value()) {
     std::ostringstream out;
     out << recovered.error();
-    std::fprintf(stderr, "tara_cli recover: %s\n", out.str().c_str());
+    std::fprintf(stderr, "tara_cli wal recover: %s\n", out.str().c_str());
     return 1;
   }
   TaraEngine engine = std::move(recovered).value();
@@ -932,17 +889,19 @@ int RunRecover(int argc, char** argv) {
                static_cast<unsigned long long>(stats.records_skipped),
                static_cast<unsigned long long>(stats.truncated_bytes));
   if (const auto error =
-          CheckpointKnowledgeBaseDir(*engine.Snapshot(), kb_dir)) {
+          AppendKnowledgeBaseBlocks(*engine.Snapshot(), kb_dir)) {
     std::ostringstream out;
     out << *error;
-    std::fprintf(stderr, "tara_cli recover: cannot checkpoint into %s: %s\n",
+    std::fprintf(stderr,
+                 "tara_cli wal recover: cannot checkpoint into %s: %s\n",
                  kb_dir.c_str(), out.str().c_str());
     return 1;
   }
   if (const auto error = engine.TruncateWal()) {
     std::ostringstream out;
     out << *error;
-    std::fprintf(stderr, "tara_cli recover: cannot truncate the log: %s\n",
+    std::fprintf(stderr,
+                 "tara_cli wal recover: cannot truncate the log: %s\n",
                  out.str().c_str());
     return 1;
   }
@@ -1001,125 +960,75 @@ bool ParseDbArgs(int argc, char** argv, const char* verb,
 }
 
 /// `db stats --kb DIR`: format, options, windows, rules, blocks, bytes —
-/// all from the manifest(s), no segment payload read.
+/// all from the manifest, no segment payload read.
 int RunDbStats(const std::string& kb_dir) {
-  if (KnowledgeBaseBlocksDirExists(kb_dir)) {
-    auto manifest = ReadKnowledgeBaseBlocksManifest(kb_dir);
-    if (!manifest.has_value()) return DbFail("stats", manifest.error());
-    uint64_t payload = 0, file_bytes = 0, entries = 0;
-    for (const KbBlockInfo& block : manifest->blocks) {
-      file_bytes += block.file_bytes;
-      for (const KbBlockRow& row : block.rows) {
-        payload += row.segment_bytes;
-        entries += row.entry_count;
-      }
-    }
-    std::printf("format:   TARAKB3 (block-partitioned)\n");
-    std::printf("windows:  %u in %zu blocks\n", manifest->window_count(),
-                manifest->blocks.size());
-    std::printf("rules:    %llu\n", static_cast<unsigned long long>(
-                                        manifest->rule_watermark()));
-    std::printf("entries:  %llu\n", static_cast<unsigned long long>(entries));
-    std::printf("bytes:    %llu on disk, %llu segment payload\n",
-                static_cast<unsigned long long>(file_bytes),
-                static_cast<unsigned long long>(payload));
-    std::printf("floors:   supp %g conf %g, max itemset %llu, content "
-                "index %s\n",
-                manifest->min_support_floor, manifest->min_confidence_floor,
-                static_cast<unsigned long long>(manifest->max_itemset_size),
-                manifest->build_content_index ? "yes" : "no");
-    for (size_t b = 0; b < manifest->blocks.size(); ++b) {
-      const KbBlockInfo& block = manifest->blocks[b];
-      std::printf("  block-%06llu.blk  windows %u..%u  %llu bytes\n",
-                  static_cast<unsigned long long>(block.file_index),
-                  block.first_window,
-                  block.first_window +
-                      static_cast<uint32_t>(block.rows.size()) - 1,
-                  static_cast<unsigned long long>(block.file_bytes));
-    }
-    return 0;
-  }
-  auto manifest = ReadKnowledgeBaseDirManifest(kb_dir);
+  auto manifest = ReadKnowledgeBaseBlocksManifest(kb_dir);
   if (!manifest.has_value()) return DbFail("stats", manifest.error());
-  uint64_t payload = 0, entries = 0, rules = 0;
-  for (const KbManifestRow& row : manifest->rows) {
-    payload += row.segment_bytes;
-    entries += row.entry_count;
-    rules = row.rule_watermark;
+  uint64_t payload = 0, file_bytes = 0, entries = 0;
+  for (const KbBlockInfo& block : manifest->blocks) {
+    file_bytes += block.file_bytes;
+    for (const KbBlockRow& row : block.rows) {
+      payload += row.segment_bytes;
+      entries += row.entry_count;
+    }
   }
-  std::printf("format:   TARAKB2 (one segment file per window)\n");
-  std::printf("windows:  %zu\n", manifest->rows.size());
-  std::printf("rules:    %llu\n", static_cast<unsigned long long>(rules));
+  std::printf("format:   TARAKB3 (block-partitioned)\n");
+  std::printf("windows:  %u in %zu blocks\n", manifest->window_count(),
+              manifest->blocks.size());
+  std::printf("rules:    %llu\n",
+              static_cast<unsigned long long>(manifest->rule_watermark()));
   std::printf("entries:  %llu\n", static_cast<unsigned long long>(entries));
-  std::printf("bytes:    %llu segment payload\n",
+  std::printf("bytes:    %llu on disk, %llu segment payload\n",
+              static_cast<unsigned long long>(file_bytes),
               static_cast<unsigned long long>(payload));
   std::printf("floors:   supp %g conf %g, max itemset %llu, content "
               "index %s\n",
               manifest->min_support_floor, manifest->min_confidence_floor,
               static_cast<unsigned long long>(manifest->max_itemset_size),
               manifest->build_content_index ? "yes" : "no");
+  for (const KbBlockInfo& block : manifest->blocks) {
+    std::printf("  block-%06llu.blk  windows %u..%u  %llu bytes\n",
+                static_cast<unsigned long long>(block.file_index),
+                block.first_window,
+                block.first_window +
+                    static_cast<uint32_t>(block.rows.size()) - 1,
+                static_cast<unsigned long long>(block.file_bytes));
+  }
   return 0;
 }
 
-/// `db show --kb DIR`: the per-window table (either format).
+/// `db show --kb DIR`: the per-window table.
 int RunDbShow(const std::string& kb_dir) {
-  std::printf("window  transactions      rules    entries      bytes\n");
-  const auto print_row = [](WindowId w, uint64_t transactions, uint64_t rules,
-                            uint64_t entry_count, uint64_t bytes) {
-    std::printf("%6u  %12llu %10llu %10llu %10llu\n", w,
-                static_cast<unsigned long long>(transactions),
-                static_cast<unsigned long long>(rules),
-                static_cast<unsigned long long>(entry_count),
-                static_cast<unsigned long long>(bytes));
-  };
-  if (KnowledgeBaseBlocksDirExists(kb_dir)) {
-    auto manifest = ReadKnowledgeBaseBlocksManifest(kb_dir);
-    if (!manifest.has_value()) return DbFail("show", manifest.error());
-    for (const KbBlockInfo& block : manifest->blocks) {
-      WindowId w = block.first_window;
-      for (const KbBlockRow& row : block.rows) {
-        print_row(w++, row.total_transactions, row.rule_watermark,
-                  row.entry_count, row.segment_bytes);
-      }
-    }
-    return 0;
-  }
-  auto manifest = ReadKnowledgeBaseDirManifest(kb_dir);
+  auto manifest = ReadKnowledgeBaseBlocksManifest(kb_dir);
   if (!manifest.has_value()) return DbFail("show", manifest.error());
-  WindowId w = 0;
-  for (const KbManifestRow& row : manifest->rows) {
-    print_row(w++, row.total_transactions, row.rule_watermark,
-              row.entry_count, row.segment_bytes);
+  std::printf("window  transactions      rules    entries      bytes\n");
+  for (const KbBlockInfo& block : manifest->blocks) {
+    WindowId w = block.first_window;
+    for (const KbBlockRow& row : block.rows) {
+      std::printf("%6u  %12llu %10llu %10llu %10llu\n", w++,
+                  static_cast<unsigned long long>(row.total_transactions),
+                  static_cast<unsigned long long>(row.rule_watermark),
+                  static_cast<unsigned long long>(row.entry_count),
+                  static_cast<unsigned long long>(row.segment_bytes));
+    }
   }
   return 0;
 }
 
-/// `db verify --kb DIR`: every content hash checked (block-parallel for
-/// TARAKB3); a TARAKB2 directory is verified by a full eager open, which
-/// checks the same per-segment hashes. Exit 0 only when everything
-/// matches.
+/// `db verify --kb DIR`: every block and segment hash checked,
+/// block-parallel. Exit 0 only when everything matches.
 int RunDbVerify(const std::string& kb_dir) {
-  if (KnowledgeBaseBlocksDirExists(kb_dir)) {
-    auto mapped = MappedKb::Open(kb_dir);
-    if (!mapped.has_value()) return DbFail("verify", mapped.error());
-    std::unique_ptr<ThreadPool> pool;
-    if (mapped->manifest().blocks.size() > 1) {
-      pool = std::make_unique<ThreadPool>(std::thread::hardware_concurrency());
-    }
-    if (const auto error = mapped->VerifyHashes(pool.get())) {
-      return DbFail("verify", *error);
-    }
-    std::printf("verified %u windows in %zu blocks: all hashes match\n",
-                mapped->window_count(), mapped->manifest().blocks.size());
-    return 0;
+  auto mapped = MappedKb::Open(kb_dir);
+  if (!mapped.has_value()) return DbFail("verify", mapped.error());
+  std::unique_ptr<ThreadPool> pool;
+  if (mapped->manifest().blocks.size() > 1) {
+    pool = std::make_unique<ThreadPool>(std::thread::hardware_concurrency());
   }
-  OpenOptions options;
-  options.kb_dir = kb_dir;
-  options.parallelism = 0;
-  auto opened = OpenKnowledgeBase(options);
-  if (!opened.has_value()) return DbFail("verify", opened.error());
-  std::printf("verified %u windows: all hashes match\n",
-              opened->window_count());
+  if (const auto error = mapped->VerifyHashes(pool.get())) {
+    return DbFail("verify", *error);
+  }
+  std::printf("verified %u windows in %zu blocks: all hashes match\n",
+              mapped->window_count(), mapped->manifest().blocks.size());
   return 0;
 }
 
@@ -1282,7 +1191,6 @@ void PrintUsage(std::FILE* out) {
       "  db show                         per-window table\n"
       "  db verify                       check every content hash\n"
       "  db split [--block-bytes N]      repartition into balanced blocks\n"
-      "                                  (converts TARAKB2 to TARAKB3)\n"
       "  db trim --windows N             keep only the first N windows\n"
       "  db rm                           delete every manifest-named file\n"
       "\n"
@@ -1337,8 +1245,7 @@ int RunRemoteQuery(int argc, char** argv) {
 }  // namespace tara::cli
 
 int main(int argc, char** argv) {
-  // Noun-verb surface: db / query / serve / wal (+ help). The pre-8
-  // verb `recover` stays as a hidden alias of `wal recover`.
+  // Noun-verb surface: db / query / serve / replica / wal (+ help).
   if (argc > 1 && std::strcmp(argv[1], "serve") == 0) {
     return tara::server::RunServeMain(argc - 2, argv + 2, "tara_cli serve");
   }
@@ -1353,9 +1260,6 @@ int main(int argc, char** argv) {
   }
   if (argc > 1 && std::strcmp(argv[1], "wal") == 0) {
     return tara::cli::RunWal(argc - 2, argv + 2);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "recover") == 0) {
-    return tara::cli::RunRecover(argc - 2, argv + 2);
   }
   if (argc > 1 && (std::strcmp(argv[1], "help") == 0 ||
                    std::strcmp(argv[1], "--help") == 0)) {
