@@ -68,14 +68,22 @@ Expected<WalReplayStats, LoadError> KbBuilder::AttachWal(
     valid_bytes = contents->valid_bytes;
     stats.truncated_bytes = contents->truncated_bytes;
     stats.records_scanned = contents->records.size();
+    // Parse the whole tail first, then install it as one batch: a replay
+    // publishes one generation however many records it applies.
+    std::vector<StoredWindow> windows;
+    std::optional<LoadError> parse_error;
     for (const WalRecord& record : contents->records) {
-      // Order the record by its window id BEFORE decoding: stale and
-      // out-of-sequence records must not be parsed against this
-      // engine's catalog (a gap record would misreport as corruption).
+      // Order the record by its window id BEFORE parsing it: stale records
+      // are skipped unparsed, and a gap is reported as the foreign log it
+      // is, not as a corrupt segment.
       const auto window = PeekWindowSegmentWindow(record.segment_bytes.data(),
                                                  record.segment_bytes.size());
-      if (!window.has_value()) return window.error();
-      const WindowId next = static_cast<WindowId>(segments_.size());
+      if (!window.has_value()) {
+        parse_error = window.error();
+        break;
+      }
+      const WindowId next =
+          static_cast<WindowId>(segments_.size() + windows.size());
       if (*window < next) {
         // A record the last checkpoint already covers (the crash landed
         // between the checkpoint and the log truncation).
@@ -83,29 +91,28 @@ Expected<WalReplayStats, LoadError> KbBuilder::AttachWal(
         continue;
       }
       if (*window > next) {
-        return LoadError{
+        parse_error = LoadError{
             LoadError::Code::kBadManifest,
             "write-ahead log in '" + dir + "' jumps to window " +
                 std::to_string(*window) + " but the engine has " +
                 std::to_string(next) +
                 " windows — the log does not belong to this knowledge base"};
+        break;
       }
-      auto decoded = DecodeWindowSegment(record.segment_bytes.data(),
-                                         record.segment_bytes.size(),
-                                         *catalog_);
-      if (!decoded.has_value()) return decoded.error();
-      if (decoded->first_rule != static_cast<RuleId>(catalog_->size())) {
-        return LoadError{LoadError::Code::kCorruptSegment,
-                         "write-ahead record for window " +
-                             std::to_string(decoded->window) +
-                             " starts its rule ids at " +
-                             std::to_string(decoded->first_rule) +
-                             " but the catalog holds " +
-                             std::to_string(catalog_->size()) + " rules"};
+      auto parsed = ParseWindowSegment(record.segment_bytes.data(),
+                                       record.segment_bytes.size());
+      if (!parsed.has_value()) {
+        parse_error = parsed.error();
+        break;
       }
-      AppendPrecomputedWindow(record.total_transactions, decoded->entries);
-      ++stats.records_replayed;
+      windows.push_back(
+          StoredWindow{record.total_transactions, *std::move(parsed)});
     }
+    // Records before the first bad one still install, as they did when
+    // replay appended one record at a time.
+    stats.records_replayed = windows.size();
+    if (auto error = InstallWindows(std::move(windows))) return *error;
+    if (parse_error.has_value()) return *parse_error;
   }
   auto writer = WalWriter::Open(dir, options_, valid_bytes, options_.metrics);
   if (!writer.has_value()) return writer.error();
@@ -258,9 +265,27 @@ std::vector<WindowIndex::Entry> KbBuilder::InternAndArchive(
   return entries;
 }
 
-WindowId KbBuilder::CommitAndPublish(MinedWindow mined) {
-  std::lock_guard<std::mutex> lock(commit_mutex_);
-  const WindowId window = static_cast<WindowId>(segments_.size());
+void KbBuilder::BeginWindowLocked(WindowId window, uint64_t total_transactions,
+                                  uint64_t floor_count) {
+  archive_.RegisterWindow(window, total_transactions, floor_count,
+                          options_.min_confidence_floor);
+  tree_builder_.BeginWindow(
+      window, total_transactions,
+      UnarchivedCountSlack(floor_count, options_.min_confidence_floor,
+                           total_transactions));
+}
+
+void KbBuilder::BuildIndex(WindowSegment* segment, ThreadPool* pool) const {
+  Stopwatch timer;
+  segment->index.Build(segment->entries, segment->total_transactions,
+                       options_.build_content_index, *catalog_, pool);
+  segment->stats.index_seconds = timer.ElapsedSeconds();
+  segment->stats.location_count = segment->index.location_count();
+  segment->stats.region_count = segment->index.region_count();
+}
+
+std::shared_ptr<WindowSegment> KbBuilder::CommitMinedLocked(
+    WindowId window, const MinedWindow& mined) {
   auto segment = std::make_shared<WindowSegment>();
   segment->total_transactions = mined.total_transactions;
   segment->floor_count = mined.floor_count;
@@ -273,34 +298,141 @@ WindowId KbBuilder::CommitAndPublish(MinedWindow mined) {
 
   // (3) Archive append + catalog interning (the serialized commit stage).
   Stopwatch timer;
-  archive_.RegisterWindow(window, mined.total_transactions, mined.floor_count,
-                          options_.min_confidence_floor);
-  tree_builder_.BeginWindow(
-      window, mined.total_transactions,
-      UnarchivedCountSlack(mined.floor_count, options_.min_confidence_floor,
-                           mined.total_transactions));
+  BeginWindowLocked(window, mined.total_transactions, mined.floor_count);
   segment->entries = InternAndArchive(window, mined.rules);
   segment->rule_watermark = static_cast<RuleId>(catalog_->size());
   stats.archive_seconds = timer.ElapsedSeconds();
+  return segment;
+}
 
+WindowId KbBuilder::CommitAndPublish(MinedWindow mined) {
+  std::lock_guard<std::mutex> lock(commit_mutex_);
+  const WindowId window = static_cast<WindowId>(segments_.size());
+  std::shared_ptr<WindowSegment> segment = CommitMinedLocked(window, mined);
   // (4) EPS slice (stable region index) build.
-  timer.Restart();
-  segment->index.Build(segment->entries, mined.total_transactions,
-                       options_.build_content_index, *catalog_, pool_.get());
-  stats.index_seconds = timer.ElapsedSeconds();
-  stats.location_count = segment->index.location_count();
-  stats.region_count = segment->index.region_count();
-
-  PublishLocked(std::move(segment));
-  LogWindowsLocked(window);
-  MarkDurableLocked();
+  BuildIndex(segment.get(), pool_.get());
+  PublishLocked({std::move(segment)});
   return window;
 }
 
-void KbBuilder::PublishLocked(std::shared_ptr<const WindowSegment> segment) {
-  stats_.push_back(segment->stats);
-  segments_.push_back(std::move(segment));
+void KbBuilder::PublishLocked(
+    std::vector<std::shared_ptr<WindowSegment>> pending) {
+  const WindowId first = static_cast<WindowId>(segments_.size());
+  for (auto& segment : pending) {
+    stats_.push_back(segment->stats);
+    segments_.push_back(std::move(segment));
+  }
   PublishSnapshotLocked();
+  LogWindowsLocked(first);
+  MarkDurableLocked();
+}
+
+namespace {
+
+/// Checks everything InstallWindows assumes of a stored window that is
+/// to become window `window` over a catalog of `catalog_size` rules,
+/// touching no state: each entry's counts are archivable, no rule
+/// appears twice, and the window's new rules are exactly the ids
+/// [first_rule, first_rule + new_rules.size()), first referenced in id
+/// order — the order in which interning the entries one by one would
+/// have numbered them.
+std::optional<LoadError> CheckStoredWindow(const ParsedWindowSegment& p,
+                                           WindowId window,
+                                           size_t catalog_size) {
+  const auto corrupt = [window](const std::string& what) {
+    return LoadError{LoadError::Code::kCorruptSegment,
+                     "segment of window " + std::to_string(window) +
+                         " is corrupt: " + what};
+  };
+  if (p.window != window) {
+    return corrupt("it names window " + std::to_string(p.window));
+  }
+  if (p.first_rule != catalog_size) {
+    return corrupt("its rule ids start at " + std::to_string(p.first_rule) +
+                   " but the catalog holds " + std::to_string(catalog_size) +
+                   " rules");
+  }
+  const uint64_t end = p.first_rule + p.new_rules.size();
+  std::vector<bool> seen(end, false);
+  uint64_t next_new = p.first_rule;
+  for (const ParsedWindowSegment::RawEntry& e : p.entries) {
+    if (e.rule >= end) return corrupt("an entry names an unknown rule");
+    if (e.rule_count == 0) return corrupt("an entry has a zero rule count");
+    if (e.antecedent_delta > UINT64_MAX - e.rule_count) {
+      return corrupt("an entry's antecedent count overflows");
+    }
+    if (seen[e.rule]) {
+      return corrupt("rule " + std::to_string(e.rule) + " appears twice");
+    }
+    seen[e.rule] = true;
+    if (e.rule >= p.first_rule && e.rule != next_new++) {
+      return corrupt("new rule " + std::to_string(e.rule) +
+                     " is referenced out of id order");
+    }
+  }
+  if (next_new != end) return corrupt("a new rule has no entry");
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<LoadError> KbBuilder::InstallWindows(
+    std::vector<StoredWindow> windows) {
+  std::lock_guard<std::mutex> lock(commit_mutex_);
+  // EPS slices fan over the pool (as BuildAll's stage 3) while later
+  // windows commit; a single window keeps the pool for its own build.
+  ThreadPool* fan_out = windows.size() > 1 ? pool_.get() : nullptr;
+  std::vector<std::shared_ptr<WindowSegment>> pending;
+  pending.reserve(windows.size());
+  std::vector<std::future<void>> eps_builds;
+  std::optional<LoadError> error;
+  for (StoredWindow& stored : windows) {
+    const WindowId window =
+        static_cast<WindowId>(segments_.size() + pending.size());
+    error = CheckStoredWindow(stored.segment, window, catalog_->size());
+    if (error.has_value()) break;
+    Stopwatch timer;
+    // All or nothing, so a rejected window leaves the catalog as it was;
+    // nothing else has been touched yet.
+    if (!catalog_->InternNew(std::move(stored.segment.new_rules))) {
+      error = LoadError{LoadError::Code::kCorruptSegment,
+                        "segment of window " + std::to_string(window) +
+                            " is corrupt: its new rules are already "
+                            "interned or repeat within the segment"};
+      break;
+    }
+    auto segment = std::make_shared<WindowSegment>();
+    segment->total_transactions = stored.total_transactions;
+    segment->floor_count = MinCountForSupport(options_.min_support_floor,
+                                              stored.total_transactions);
+    BeginWindowLocked(window, segment->total_transactions,
+                      segment->floor_count);
+    segment->entries.reserve(stored.segment.entries.size());
+    for (const ParsedWindowSegment::RawEntry& e : stored.segment.entries) {
+      const RuleId id = static_cast<RuleId>(e.rule);
+      const uint64_t antecedent_count = e.rule_count + e.antecedent_delta;
+      archive_.Add(id, window, e.rule_count, antecedent_count);
+      tree_builder_.AddEntry(id, e.rule_count, antecedent_count);
+      segment->entries.push_back(
+          WindowIndex::Entry{id, e.rule_count, antecedent_count});
+    }
+    segment->rule_watermark = static_cast<RuleId>(catalog_->size());
+    segment->stats.window = window;
+    segment->stats.rule_count = segment->entries.size();
+    segment->stats.archive_seconds = timer.ElapsedSeconds();
+    if (fan_out != nullptr) {
+      WindowSegment* slot = segment.get();
+      eps_builds.push_back(
+          fan_out->Submit([this, slot] { BuildIndex(slot, nullptr); }));
+    }
+    pending.push_back(std::move(segment));
+  }
+  for (std::future<void>& f : eps_builds) f.get();
+  if (fan_out == nullptr) {
+    for (const auto& segment : pending) BuildIndex(segment.get(), pool_.get());
+  }
+  if (!pending.empty()) PublishLocked(std::move(pending));
+  return error;
 }
 
 void KbBuilder::PublishSnapshotLocked() {
@@ -373,7 +505,8 @@ void KbBuilder::BuildAll(const EvolvingDatabase& data) {
   std::lock_guard<std::mutex> lock(commit_mutex_);
   const TransactionDatabase& db = data.database();
   const WindowId base = static_cast<WindowId>(segments_.size());
-  std::vector<std::shared_ptr<WindowSegment>> pending(n);
+  std::vector<std::shared_ptr<WindowSegment>> pending;
+  pending.reserve(n);
 
   // Keep only a few windows of mined-but-uncommitted rules in memory.
   const uint32_t max_ahead = pool->size() + 2;
@@ -398,53 +531,18 @@ void KbBuilder::BuildAll(const EvolvingDatabase& data) {
     in_flight.pop_front();
     submit_next_mine();
 
-    const WindowId window = base + i;
-    auto segment = std::make_shared<WindowSegment>();
-    pending[i] = segment;
-    segment->total_transactions = mined.total_transactions;
-    segment->floor_count = mined.floor_count;
-    WindowBuildStats& stats = segment->stats;
-    stats.window = window;
-    stats.itemset_seconds = mined.itemset_seconds;
-    stats.rule_seconds = mined.rule_seconds;
-    stats.itemset_count = mined.itemset_count;
-    stats.rule_count = mined.rules.size();
-
-    Stopwatch timer;
-    archive_.RegisterWindow(window, mined.total_transactions,
-                            mined.floor_count,
-                            options_.min_confidence_floor);
-    tree_builder_.BeginWindow(
-        window, mined.total_transactions,
-        UnarchivedCountSlack(mined.floor_count,
-                             options_.min_confidence_floor,
-                             mined.total_transactions));
-    segment->entries = InternAndArchive(window, mined.rules);
-    segment->rule_watermark = static_cast<RuleId>(catalog_->size());
-    stats.archive_seconds = timer.ElapsedSeconds();
-
+    std::shared_ptr<WindowSegment> segment =
+        CommitMinedLocked(base + i, mined);
     // Stage 3 reads the catalog (content index only) while later windows
     // intern — safe: RuleCatalog readers lock shared against the writer.
     // Each task writes only its own (still private) segment.
     WindowSegment* slot = segment.get();
-    eps_builds.push_back(pool->Submit([this, slot] {
-      Stopwatch index_timer;
-      slot->index.Build(slot->entries, slot->total_transactions,
-                        options_.build_content_index, *catalog_, nullptr);
-      slot->stats.index_seconds = index_timer.ElapsedSeconds();
-      slot->stats.location_count = slot->index.location_count();
-      slot->stats.region_count = slot->index.region_count();
-    }));
+    eps_builds.push_back(
+        pool->Submit([this, slot] { BuildIndex(slot, nullptr); }));
+    pending.push_back(std::move(segment));
   }
   for (std::future<void>& f : eps_builds) f.get();
-
-  for (auto& segment : pending) {
-    stats_.push_back(segment->stats);
-    segments_.push_back(std::move(segment));
-  }
-  PublishSnapshotLocked();
-  LogWindowsLocked(base);
-  MarkDurableLocked();
+  PublishLocked(std::move(pending));
 }
 
 }  // namespace tara

@@ -12,6 +12,7 @@
 #include "common/expected.h"
 #include "common/thread_pool.h"
 #include "core/kb_snapshot.h"
+#include "core/kb_storage.h"
 #include "core/load_error.h"
 #include "core/rollup_tree.h"
 #include "core/wal.h"
@@ -27,9 +28,13 @@ namespace tara {
 ///
 /// ## Concurrency contract
 ///
-/// - **One writer.** AppendWindow / AppendPrecomputedWindow / BuildAll are
-///   serialized by an internal commit mutex; concurrent writer calls are
-///   safe but pointless (they queue).
+/// - **One writer.** AppendWindow / AppendPrecomputedWindow / BuildAll /
+///   InstallWindows are serialized by an internal commit mutex;
+///   concurrent writer calls are safe but pointless (they queue).
+/// - **One publication per writer call.** A live append publishes one
+///   window; BuildAll, a WAL replay and an InstallWindows batch (a mapped
+///   knowledge base's materialization gate) publish all of theirs in one
+///   generation.
 /// - **Any number of readers, any time.** snapshot() is a lock-free atomic
 ///   load; the returned shared_ptr pins that generation for as long as it
 ///   is held. Readers never block a writer and a writer never blocks
@@ -84,7 +89,7 @@ class KbBuilder {
   /// existing log must carry this builder's construction options; its
   /// records are first replayed into the snapshot (windows the builder
   /// already has are skipped, a window past the next id is a typed gap
-  /// error). After a successful attach every committed window is
+  /// error) as one InstallWindows batch. After a successful attach every committed window is
   /// appended to the log and fdatasync'd before the committing call
   /// returns. NOT safe concurrently with writers or another AttachWal;
   /// call once, before ingestion starts.
@@ -145,6 +150,10 @@ class KbBuilder {
   size_t IndexBytes() const;
 
  private:
+  /// Materialization and replica apply install stored windows through
+  /// InstallWindows.
+  friend class TaraEngine;
+
   /// One window's mining output, produced off-thread by the parallel
   /// build and handed to the ordered commit stage.
   struct MinedWindow {
@@ -167,9 +176,47 @@ class KbBuilder {
   std::vector<WindowIndex::Entry> InternAndArchive(
       WindowId window, const std::vector<MinedRule>& rules);
 
+  /// Stage 2 under the commit mutex: commits `mined` as window `window`
+  /// and returns its still-private segment, EPS slice not yet built.
+  std::shared_ptr<WindowSegment> CommitMinedLocked(WindowId window,
+                                                   const MinedWindow& mined);
+
   /// Stages 2+3 under the commit mutex: commit `mined` as the next
   /// window, build its EPS slice, and publish the new generation.
   WindowId CommitAndPublish(MinedWindow mined);
+
+  /// Registers `window` with the working archive and roll-up tree
+  /// (commit mutex must be held).
+  void BeginWindowLocked(WindowId window, uint64_t total_transactions,
+                         uint64_t floor_count);
+
+  /// Stage 3: builds `segment`'s EPS slice and records its index stats.
+  /// Reads only the (internally synchronized) catalog and the options,
+  /// so pool workers may run it for still-private segments.
+  void BuildIndex(WindowSegment* segment, ThreadPool* pool) const;
+
+  /// A stored window: its parsed TSEG segment plus the transaction count
+  /// that the record carrying the segment (blocks manifest row, WAL
+  /// record, replication record) holds beside it.
+  struct StoredWindow {
+    uint64_t total_transactions = 0;
+    ParsedWindowSegment segment;
+  };
+
+  /// Installs stored windows as the next windows, in order, by the rule
+  /// ids their segments state: only each window's new rules are interned
+  /// (checked to land at first_rule + k), and the archive, roll-up tree
+  /// and segment entries are appended by id. EPS slices fan over the
+  /// pool as BuildAll's stage 3 does, and the whole batch publishes ONE
+  /// generation. Each window is validated whole before it touches any
+  /// state; the first invalid one (wrong window id, rule ids that do not
+  /// continue the catalog, a zero or overflowing count, a rule twice,
+  /// new-rule contents already interned or repeated) stops the batch with
+  /// kCorruptSegment, leaving the windows before it installed and itself
+  /// nowhere. This is how mapped knowledge bases materialize, WAL replay
+  /// recovers, and replicas apply the stream; byte-identical to
+  /// appending the resolved rules one window at a time.
+  std::optional<LoadError> InstallWindows(std::vector<StoredWindow> windows);
 
   /// Appends windows [first, window_count()) to the attached WAL,
   /// fdatasync'd, reading their bytes from the just-published snapshot.
@@ -184,9 +231,10 @@ class KbBuilder {
   /// mutex must be held).
   void MarkDurableLocked();
 
-  /// Appends `segment` to the working state and publishes a new
-  /// generation (commit mutex must be held).
-  void PublishLocked(std::shared_ptr<const WindowSegment> segment);
+  /// Appends the committed `pending` segments to the working state,
+  /// publishes ONE new generation holding all of them, logs them to the
+  /// WAL and advances the durable watermark (commit mutex must be held).
+  void PublishLocked(std::vector<std::shared_ptr<WindowSegment>> pending);
   /// Swaps in a snapshot of the current working state (commit mutex must
   /// be held). `swaps` counts publications after the initial one.
   void PublishSnapshotLocked();

@@ -37,8 +37,8 @@ Expected<TaraEngine, LoadError> OpenKnowledgeBase(const OpenOptions& options) {
     engine_options.query_cache_bytes = options.query_cache_bytes;
     engine.emplace(engine_options);
 
-    // WAL replay appends windows, which requires the full catalog — a
-    // mapped open with recovery materializes everything up front.
+    // WAL replay installs windows on top of the full catalog — a mapped
+    // open with recovery materializes everything up front.
     const bool eager =
         options.mode == OpenMode::kEager || !options.wal_dir.empty();
     if (auto error = engine->AttachMappedKb(

@@ -273,43 +273,4 @@ Expected<ParsedWindowSegment, LoadError> ParseWindowSegment(
   return parsed;
 }
 
-Expected<std::vector<PrecomputedRule>, LoadError> ResolveParsedSegment(
-    const ParsedWindowSegment& parsed, const RuleCatalog& catalog) {
-  const auto corrupt = [](const std::string& what) {
-    return Err(LoadError::Code::kCorruptSegment,
-               "window segment is corrupt: " + what);
-  };
-  if (parsed.first_rule > catalog.size()) {
-    return corrupt("rule ids start past the catalog");
-  }
-  std::vector<PrecomputedRule> entries;
-  entries.reserve(parsed.entries.size());
-  for (const ParsedWindowSegment::RawEntry& e : parsed.entries) {
-    PrecomputedRule p;
-    if (e.rule < parsed.first_rule) {
-      p.rule = catalog.rule(static_cast<RuleId>(e.rule));
-    } else {
-      // In range by the parse-time bound check.
-      p.rule = parsed.new_rules[e.rule - parsed.first_rule];
-    }
-    p.rule_count = e.rule_count;
-    p.antecedent_count = e.rule_count + e.antecedent_delta;
-    entries.push_back(std::move(p));
-  }
-  return entries;
-}
-
-Expected<DecodedWindowSegment, LoadError> DecodeWindowSegment(
-    const uint8_t* data, size_t size, const RuleCatalog& catalog) {
-  auto parsed = ParseWindowSegment(data, size);
-  if (!parsed.has_value()) return parsed.error();
-  auto entries = ResolveParsedSegment(parsed.value(), catalog);
-  if (!entries.has_value()) return entries.error();
-  DecodedWindowSegment decoded;
-  decoded.window = parsed->window;
-  decoded.first_rule = parsed->first_rule;
-  decoded.entries = *std::move(entries);
-  return decoded;
-}
-
 }  // namespace tara

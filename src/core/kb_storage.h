@@ -9,7 +9,7 @@
 
 #include "common/expected.h"
 #include "core/load_error.h"
-#include "core/tara_engine.h"
+#include "core/kb_snapshot.h"
 
 namespace tara {
 
@@ -42,28 +42,11 @@ std::string EncodeKnowledgeBase(const KnowledgeBaseSnapshot& snapshot);
 std::vector<uint8_t> EncodeWindowSegment(const KnowledgeBaseSnapshot& snapshot,
                                          WindowId window);
 
-/// A decoded segment blob: the window it belongs to, where its rule ids
-/// start, and its entries with rule contents resolved — ready for
-/// AppendPrecomputedWindow.
-struct DecodedWindowSegment {
-  WindowId window = 0;
-  RuleId first_rule = 0;
-  std::vector<PrecomputedRule> entries;
-};
-
-/// Parses a segment blob. Entries referencing rules older than
-/// `first_rule` resolve their contents through `catalog` (which must
-/// hold at least `first_rule` rules); rules the window interned first
-/// come from the blob itself. Untrusted-input discipline: any
-/// inconsistency is a LoadError, never an abort.
-Expected<DecodedWindowSegment, LoadError> DecodeWindowSegment(
-    const uint8_t* data, size_t size, const RuleCatalog& catalog);
-
 /// A segment blob parsed WITHOUT a catalog: entries keep their raw rule
-/// ids and count deltas. This is stage 1 of the two-phase decode that
-/// lets block-parallel loaders parse many segments concurrently — only
-/// the catalog-dependent resolution (stage 2, ResolveParsedSegment) must
-/// run in window order.
+/// ids and count deltas. Parsing touches no engine state, so loaders may
+/// parse many segments concurrently; the builder then installs the
+/// parsed windows in window order, by rule id (KbBuilder validates every
+/// entry and the new rules' contents before it changes anything).
 struct ParsedWindowSegment {
   WindowId window = 0;
   RuleId first_rule = 0;
@@ -78,20 +61,14 @@ struct ParsedWindowSegment {
   std::vector<RawEntry> entries;
 };
 
-/// Stage 1: catalog-free structural parse of a segment blob. Safe to run
-/// on many segments concurrently.
+/// Catalog-free structural parse of a segment blob. Safe to run on many
+/// segments concurrently. Untrusted-input discipline: any inconsistency
+/// is a LoadError, never an abort.
 Expected<ParsedWindowSegment, LoadError> ParseWindowSegment(
     const uint8_t* data, size_t size);
 
-/// Stage 2: resolves a parsed segment's entries against `catalog`, which
-/// must hold exactly the rules of all prior windows (i.e. at least
-/// `parsed.first_rule` of them). Must be called in window order.
-Expected<std::vector<PrecomputedRule>, LoadError> ResolveParsedSegment(
-    const ParsedWindowSegment& parsed, const RuleCatalog& catalog);
-
 /// Reads just the window id from a segment blob's header, so WAL replay
-/// can order records before committing to a full (catalog-dependent)
-/// decode.
+/// can order records before parsing them.
 Expected<WindowId, LoadError> PeekWindowSegmentWindow(const uint8_t* data,
                                                       size_t size);
 

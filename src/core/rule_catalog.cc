@@ -36,6 +36,20 @@ RuleId RuleCatalog::Intern(const Rule& rule) {
   return it->second;
 }
 
+bool RuleCatalog::InternNew(std::vector<Rule> rules) {
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  const RuleId base = static_cast<RuleId>(rules_.size());
+  for (size_t k = 0; k < rules.size(); ++k) {
+    if (!ids_.try_emplace(rules[k], base + static_cast<RuleId>(k)).second) {
+      // Roll back under the same lock: readers never see a partial batch.
+      for (size_t j = 0; j < k; ++j) ids_.erase(rules[j]);
+      return false;
+    }
+  }
+  for (Rule& rule : rules) rules_.push_back(std::move(rule));
+  return true;
+}
+
 RuleId RuleCatalog::Find(const Rule& rule) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
   auto it = ids_.find(rule);

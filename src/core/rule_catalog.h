@@ -6,6 +6,7 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "txdb/types.h"
 
@@ -48,6 +49,13 @@ class RuleCatalog {
   /// Returns the id for `rule`, interning it if new. Single writer at a
   /// time (the build commit stage is serialized).
   RuleId Intern(const Rule& rule);
+
+  /// Interns `rules` as the new ids [size(), size() + rules.size()), in
+  /// order, all or nothing: returns false and leaves the catalog
+  /// unchanged when any of them is already interned or repeats within
+  /// `rules`. This installs a stored window's new rules without
+  /// re-deriving the ids the window already states.
+  bool InternNew(std::vector<Rule> rules);
 
   /// Returns the id for `rule` or kNotFound if never interned.
   RuleId Find(const Rule& rule) const;

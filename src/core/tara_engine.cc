@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -18,7 +17,7 @@ namespace tara {
 /// a cursor of how many windows are decoded, and the sticky failure
 /// state. `materialized`/`done` are the lock-free fast path; the mutex
 /// serializes actual decoding (and orders strictly before the builder's
-/// commit mutex — materialization appends windows).
+/// commit mutex — materialization installs windows).
 struct TaraEngine::LazyState {
   std::shared_ptr<const MappedKb> kb;
   std::mutex mutex;
@@ -106,21 +105,31 @@ std::optional<LoadError> TaraEngine::MaterializeLocked(uint32_t need) const {
   const uint32_t have = lazy_->materialized.load(std::memory_order_relaxed);
   if (have >= need) return std::nullopt;
 
-  // Stage 1 — catalog-free: hash-check and structurally parse each
-  // pending segment, fanned across the query pool. Workers touch only
-  // their slot; the lazy mutex (held by the caller) is never taken here.
+  // Stage 1 — catalog-free: hash-check, parse and cross-check each
+  // pending segment against its manifest row, fanned across the query
+  // pool. Workers touch only their slot; the lazy mutex (held by the
+  // caller) is never taken here.
   const uint32_t count = need - have;
-  std::vector<std::optional<Expected<ParsedWindowSegment, LoadError>>> parsed(
-      count);
+  std::vector<KbBuilder::StoredWindow> windows(count);
+  std::vector<std::string> failures(count);  // empty = the slot parsed
   const auto parse_one = [&](uint32_t i) {
     const SegmentView view = kb.segment(have + i);
-    if (HashBytes(view.data, view.size) != view.row->segment_hash) {
-      parsed[i] = Expected<ParsedWindowSegment, LoadError>(LoadError{
-          LoadError::Code::kCorruptSegment,
-          "checksum does not match the blocks manifest"});
+    const KbBlockRow& row = *view.row;
+    if (HashBytes(view.data, view.size) != row.segment_hash) {
+      failures[i] = "checksum does not match the blocks manifest";
       return;
     }
-    parsed[i] = ParseWindowSegment(view.data, view.size);
+    auto parsed = ParseWindowSegment(view.data, view.size);
+    if (!parsed.has_value()) {
+      failures[i] = parsed.error().message;
+    } else if (parsed->first_rule + parsed->new_rules.size() !=
+               row.rule_watermark) {
+      failures[i] = "rule id range disagrees with the blocks manifest";
+    } else if (parsed->entries.size() != row.entry_count) {
+      failures[i] = "entry count disagrees with the blocks manifest";
+    } else {
+      windows[i] = {row.total_transactions, *std::move(parsed)};
+    }
   };
   if (query_pool_ != nullptr && count > 1) {
     query_pool_->ParallelFor(count, [&](size_t, size_t begin, size_t end) {
@@ -132,43 +141,34 @@ std::optional<LoadError> TaraEngine::MaterializeLocked(uint32_t need) const {
     for (uint32_t i = 0; i < count; ++i) parse_one(i);
   }
 
-  // Stage 2 — window-ordered: resolve rule contents against the growing
-  // catalog and append, cross-checking every manifest claim. Appending
-  // per window keeps generations byte-identical to an eager load.
-  for (uint32_t i = 0; i < count; ++i) {
-    const WindowId w = have + i;
-    const auto corrupt = [w](const std::string& what) {
-      std::ostringstream message;
-      message << "segment of window " << w << " is corrupt: " << what;
-      return LoadError{LoadError::Code::kCorruptSegment, message.str()};
-    };
-    Expected<ParsedWindowSegment, LoadError>& slot = *parsed[i];
-    if (!slot.has_value()) return corrupt(slot.error().message);
-    const ParsedWindowSegment& p = slot.value();
-    const KbBlockRow& row = *kb.segment(w).row;
-    if (p.window != w) {
-      return corrupt("segment belongs to a different window");
-    }
-    if (p.first_rule != builder_->catalog().size() ||
-        p.first_rule + p.new_rules.size() != row.rule_watermark) {
-      return corrupt("rule id range disagrees with the blocks manifest");
-    }
-    if (p.entries.size() != row.entry_count) {
-      return corrupt("entry count disagrees with the blocks manifest");
-    }
-    auto entries = ResolveParsedSegment(p, builder_->catalog());
-    if (!entries.has_value()) return corrupt(entries.error().message);
-    builder_->AppendPrecomputedWindow(row.total_transactions,
-                                      entries.value());
-    if (builder_->catalog().size() != row.rule_watermark) {
-      return corrupt(
-          "re-interning the entries did not reproduce the manifest "
-          "watermark (duplicate or out-of-order rule contents)");
-    }
+  // Stage 2 — the builder installs the windows before the first failure
+  // by rule id and publishes them as one generation.
+  const auto first_failure = static_cast<uint32_t>(
+      std::find_if(failures.begin(), failures.end(),
+                   [](const std::string& f) { return !f.empty(); }) -
+      failures.begin());
+  windows.resize(first_failure);
+  std::optional<LoadError> error =
+      builder_->InstallWindows(std::move(windows));
+  if (!error.has_value() && first_failure < count) {
+    error = LoadError{LoadError::Code::kCorruptSegment,
+                      "segment of window " +
+                          std::to_string(have + first_failure) +
+                          " is corrupt: " + failures[first_failure]};
   }
-  lazy_->materialized.store(need, std::memory_order_release);
-  if (need == total) lazy_->done.store(true, std::memory_order_release);
-  return std::nullopt;
+  // Whatever installed keeps serving, even when a later window failed.
+  const uint32_t installed = builder_->snapshot()->window_count();
+  lazy_->materialized.store(installed, std::memory_order_release);
+  if (installed == total) lazy_->done.store(true, std::memory_order_release);
+  return error;
+}
+
+std::optional<LoadError> TaraEngine::InstallWindowSegment(
+    uint64_t total_transactions, ParsedWindowSegment segment) {
+  EnsureAllOrDie();
+  std::vector<KbBuilder::StoredWindow> windows;
+  windows.push_back({total_transactions, std::move(segment)});
+  return builder_->InstallWindows(std::move(windows));
 }
 
 std::optional<QueryError> TaraEngine::EnsureWindows(uint64_t required) const {

@@ -130,6 +130,17 @@ class TaraEngine {
   WindowId AppendPrecomputedWindow(uint64_t total_transactions,
                                    const std::vector<PrecomputedRule>& rules);
 
+  /// Installs a stored window — a parsed TSEG segment (ParseWindowSegment)
+  /// plus the transaction count its record carries — as the next window,
+  /// by the rule ids it states, and publishes it. This is how replicas
+  /// apply the replication stream. A segment that does not continue this
+  /// knowledge base (another window id, rule ids that do not start at the
+  /// catalog's size, a zero or overflowing count, a rule twice, new-rule
+  /// contents already interned) is rejected with kCorruptSegment and
+  /// changes nothing.
+  std::optional<LoadError> InstallWindowSegment(uint64_t total_transactions,
+                                                ParsedWindowSegment segment);
+
   /// Appends every window of an evolving database. With
   /// Options::parallelism > 1, independent windows are mined and
   /// EPS-indexed concurrently and committed in window order. All new
@@ -187,8 +198,10 @@ class TaraEngine {
   std::shared_ptr<const KnowledgeBaseSnapshot> Snapshot() const;
 
   /// The published generation number (0 = empty engine; each publication
-  /// increments it). On a mapped engine the generation grows as windows
-  /// materialize, exactly as it would during the eager load.
+  /// increments it). A generation is one publication, not one window: an
+  /// eager open publishes once (generation 1), and on a lazily mapped
+  /// engine each gate that materializes windows publishes once, however
+  /// many windows it installs.
   uint64_t generation() const { return builder_->generation(); }
 
   /// Total windows of the knowledge base — on a mapped engine this is
@@ -214,11 +227,13 @@ class TaraEngine {
   /// engines without a mapped knowledge base).
   bool fully_materialized() const;
 
-  /// Windows decoded into the builder so far. On a lazily mapped engine
-  /// this lags window_count() until queries (or Snapshot()) pull the
-  /// rest in — the observable proof that mapped opens are lazy.
-  uint32_t materialized_window_count() const {
-    return builder_->snapshot()->window_count();
+  /// Pins the current generation WITHOUT materializing anything (unlike
+  /// Snapshot()): on a lazily mapped engine it holds the windows decoded
+  /// so far — always a whole prefix, since each gate publishes once. Its
+  /// window count lags window_count() until queries (or Snapshot()) pull
+  /// the rest in — the observable proof that mapped opens are lazy.
+  std::shared_ptr<const KnowledgeBaseSnapshot> MaterializedSnapshot() const {
+    return builder_->snapshot();
   }
 
   /// --- WindowSet construction --------------------------------------------
@@ -407,7 +422,7 @@ class TaraEngine {
   /// All gates are no-ops (one relaxed load) once materialization is
   /// complete or when no mapped knowledge base is attached. Lock order:
   /// the lazy mutex is taken strictly before the builder's commit mutex
-  /// (materialization appends windows); pool workers never touch the
+  /// (materialization installs windows); pool workers never touch the
   /// lazy mutex.
 
   /// Materializes windows so the snapshot holds at least
@@ -422,8 +437,9 @@ class TaraEngine {
   /// Full materialization for callers with no error channel (Snapshot,
   /// appends, quiescent accessors); aborts on corrupt storage.
   void EnsureAllOrDie() const;
-  /// The mutex-held worker: two-phase decode (parallel structural parse,
-  /// window-ordered resolve + append) of windows [materialized, need).
+  /// The mutex-held worker for windows [materialized, need): a parallel
+  /// hash check and structural parse, then one KbBuilder::InstallWindows
+  /// batch — one publication however many windows it installs.
   std::optional<LoadError> MaterializeLocked(uint32_t need) const;
 
   /// unique_ptr so the engine stays movable (the builder holds mutexes

@@ -63,8 +63,7 @@ uint32_t GetRaw32(const uint8_t* data) {
 /// Magic + the serialized KbOptions subset. The exact bytes a valid log
 /// starts with — also used to verify an existing log on reopen.
 std::vector<uint8_t> EncodeHeader(const KbOptions& options) {
-  std::vector<uint8_t> out;
-  out.insert(out.end(), kWalMagic, kWalMagic + kWalMagicLen);
+  std::vector<uint8_t> out(kWalMagic, kWalMagic + kWalMagicLen);
   PutRaw64(std::bit_cast<uint64_t>(options.min_support_floor), &out);
   PutRaw64(std::bit_cast<uint64_t>(options.min_confidence_floor), &out);
   varint::EncodeU64(options.max_itemset_size, &out);
@@ -314,6 +313,7 @@ std::optional<LoadError> WalWriter::Append(
   PutRaw64(HashBytes(payload.data(), payload.size()), &record);
   record.insert(record.end(), payload.begin(), payload.end());
 
+  CrashPoint("wal.record_begin");
   size_t written = 0;
   while (written < record.size()) {
     const ssize_t n =

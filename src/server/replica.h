@@ -46,8 +46,8 @@ struct ReplicaOptions {
 
 /// A hot-standby follower of one TARA primary: it bootstraps from an
 /// optional local checkpoint, subscribes to the primary's durably-acked
-/// window stream (kReplicaSubscribe), and replays each kReplicaRecord
-/// through the engine's ordinary append path — so the replica's
+/// window stream (kReplicaSubscribe), and installs each kReplicaRecord
+/// through TaraEngine::InstallWindowSegment — so the replica's
 /// knowledge base is rebuilt by exactly the machinery WAL recovery uses,
 /// and every generation it publishes is byte-identical to the primary's
 /// at the same window count (the differential oracle in
@@ -132,7 +132,7 @@ class ReplicaEngine {
   /// Connect + subscribe-from-engine-window-count + checkpoint
   /// handshake. On success fills `*socket` with the live stream.
   std::optional<std::string> OpenStream(Socket* socket);
-  /// Applies one kReplicaRecord payload through the append path.
+  /// Applies one kReplicaRecord payload as a one-window install.
   std::optional<std::string> ApplyRecord(const std::string& payload);
   void TailLoop();
   /// Interruptible backoff sleep; returns false when stopping.

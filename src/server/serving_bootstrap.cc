@@ -10,6 +10,7 @@
 #include <optional>
 #include <sstream>
 
+#include "common/crash_point.h"
 #include "core/kb_blocks.h"
 #include "core/kb_open.h"
 #include "datagen/quest_generator.h"
@@ -111,6 +112,9 @@ int RunServeMain(int argc, char** argv, const char* usage_prefix) {
     return 2;
   };
   if (argc < 1) return usage();
+  // TARA_CRASH_AT=N kills the server at its N-th durability step, so the
+  // crash-recovery smoke test can stop it at an exact point of an append.
+  ArmCrashPointFromEnv();
 
   ServerOptions server_options;
   if (!SplitHostPort(argv[0], &server_options.host, &server_options.port)) {

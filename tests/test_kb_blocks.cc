@@ -25,6 +25,7 @@
 #include "core/query_request.h"
 #include "core/tara_engine.h"
 #include "datagen/quest_generator.h"
+#include "obs/metrics.h"
 #include "txdb/evolving_database.h"
 
 namespace tara {
@@ -263,18 +264,18 @@ TEST_F(KbBlocksTest, MappedOpenMaterializesNothingUntilQueried) {
 
   // Open itself decoded nothing.
   EXPECT_EQ(engine.window_count(), 5u);
-  EXPECT_EQ(engine.materialized_window_count(), 0u);
+  EXPECT_EQ(engine.MaterializedSnapshot()->window_count(), 0u);
   EXPECT_FALSE(engine.fully_materialized());
 
   // A query against window 1 pulls in exactly the prefix it needs.
   const ParameterSetting setting{0.02, 0.3};
   ASSERT_TRUE(engine.MineWindow(1, setting).has_value());
-  EXPECT_EQ(engine.materialized_window_count(), 2u);
+  EXPECT_EQ(engine.MaterializedSnapshot()->window_count(), 2u);
   EXPECT_FALSE(engine.fully_materialized());
 
   // Touching the last window completes materialization.
   ASSERT_TRUE(engine.MineWindow(4, setting).has_value());
-  EXPECT_EQ(engine.materialized_window_count(), 5u);
+  EXPECT_EQ(engine.MaterializedSnapshot()->window_count(), 5u);
   EXPECT_TRUE(engine.fully_materialized());
 }
 
@@ -435,38 +436,127 @@ TEST_F(KbBlocksTest, MappedAnswersAreByteIdenticalToEager) {
 }
 
 // TSan target: racing queries must materialize each window exactly once
-// and never tear the lazy bookkeeping.
+// and never tear the lazy bookkeeping. Every snapshot a reader pins holds
+// a whole materialized prefix: each of its windows is complete and
+// byte-identical to the source's, and its catalog, archive and roll-up
+// tree end exactly at its last window.
 TEST_F(KbBlocksTest, ConcurrentQueriesMaterializeLazilyWithoutRacing) {
   const EvolvingDatabase data = MakeData(6);
   const TaraEngine original = BuildEngine(data);
-  ASSERT_FALSE(SaveKnowledgeBaseBlocks(*original.Snapshot(), dir_.string(),
-                                       4096)
+  const auto source = original.Snapshot();
+  std::vector<std::vector<uint8_t>> segments;
+  for (WindowId w = 0; w < source->window_count(); ++w) {
+    segments.push_back(EncodeWindowSegment(*source, w));
+  }
+  ASSERT_FALSE(SaveKnowledgeBaseBlocks(*source, dir_.string(), 4096)
                    .has_value());
   const auto loaded = Open(dir_.string(), OpenMode::kMapped);
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
   const TaraEngine& engine = *loaded;
-  ASSERT_EQ(engine.materialized_window_count(), 0u);
+  ASSERT_EQ(engine.MaterializedSnapshot()->window_count(), 0u);
 
   constexpr int kThreads = 4;
   std::atomic<int> failures{0};
+  std::atomic<int> torn{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&engine, &failures, t] {
+    threads.emplace_back([&, t] {
       Rng rng(0x5eed0000 + static_cast<uint64_t>(t));
       const ParameterSetting setting{0.02, 0.3};
       for (int i = 0; i < 40; ++i) {
         const WindowId w =
             static_cast<WindowId>(rng.NextBounded(engine.window_count()));
         if (!engine.MineWindow(w, setting).has_value()) failures.fetch_add(1);
+        const auto pinned = engine.MaterializedSnapshot();
+        const uint32_t n = pinned->window_count();
+        bool whole = n > w && pinned->archive().window_count() == n &&
+                     pinned->rollup_tree().window_count() == n &&
+                     pinned->rule_count() ==
+                         pinned->segment(n - 1).rule_watermark;
+        for (WindowId k = 0; whole && k < n; ++k) {
+          whole = EncodeWindowSegment(*pinned, k) == segments[k];
+        }
+        if (!whole) torn.fetch_add(1);
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(torn.load(), 0) << "a reader pinned a partial materialization";
   ASSERT_TRUE(engine.fully_materialized());
   EXPECT_EQ(EncodeKnowledgeBase(*engine.Snapshot()),
-            EncodeKnowledgeBase(*original.Snapshot()));
+            EncodeKnowledgeBase(*source));
+}
+
+// A generation is one publication, not one window: an eager open
+// publishes once, and each lazy gate publishes once however many windows
+// it installs — both on generation() and on the tara.kb.swaps counter.
+TEST_F(KbBlocksTest, EachMaterializationGatePublishesOneGeneration) {
+  const TaraEngine original = BuildEngine(MakeData(6));
+  ASSERT_FALSE(SaveKnowledgeBaseBlocks(*original.Snapshot(), dir_.string(),
+                                       4096)
+                   .has_value());
+  const auto swaps = [](obs::MetricsRegistry& registry) {
+    return registry.GetCounter("tara.kb.swaps")->Value();
+  };
+
+  obs::MetricsRegistry eager_metrics;
+  OpenOptions eager_options;
+  eager_options.kb_dir = dir_.string();
+  eager_options.mode = OpenMode::kEager;
+  eager_options.metrics = &eager_metrics;
+  const auto eager = OpenKnowledgeBase(eager_options);
+  ASSERT_TRUE(eager.has_value()) << eager.error();
+  EXPECT_EQ(eager->window_count(), 6u);
+  EXPECT_EQ(eager->generation(), 1u);
+  EXPECT_EQ(swaps(eager_metrics), 1u);
+
+  obs::MetricsRegistry mapped_metrics;
+  OpenOptions mapped_options = eager_options;
+  mapped_options.mode = OpenMode::kMapped;
+  mapped_options.metrics = &mapped_metrics;
+  const auto mapped = OpenKnowledgeBase(mapped_options);
+  ASSERT_TRUE(mapped.has_value()) << mapped.error();
+  EXPECT_EQ(mapped->generation(), 0u);
+
+  // A window-3 query materializes windows 0..3 in one publication.
+  const ParameterSetting setting{0.02, 0.3};
+  ASSERT_TRUE(mapped->MineWindow(3, setting).has_value());
+  EXPECT_EQ(mapped->MaterializedSnapshot()->window_count(), 4u);
+  EXPECT_EQ(mapped->generation(), 1u);
+  EXPECT_EQ(swaps(mapped_metrics), 1u);
+
+  // Gated queries inside the prefix publish nothing.
+  ASSERT_TRUE(mapped->MineWindow(1, setting).has_value());
+  EXPECT_EQ(mapped->generation(), 1u);
+
+  // A full query installs the remaining two windows: one more.
+  ASSERT_TRUE(
+      mapped->MineWindows(mapped->AllWindows(), setting, MatchMode::kExact)
+          .has_value());
+  EXPECT_TRUE(mapped->fully_materialized());
+  EXPECT_EQ(mapped->generation(), 2u);
+  EXPECT_EQ(swaps(mapped_metrics), 2u);
+}
+
+// Materializing in two lazy gates, in one eager open, and building from
+// the transactions all produce the same knowledge-base bytes.
+TEST_F(KbBlocksTest, LazyEagerAndBuiltEnginesEncodeIdentically) {
+  const EvolvingDatabase data = MakeData(5);
+  const TaraEngine built = BuildEngine(data);
+  ASSERT_FALSE(SaveKnowledgeBaseBlocks(*built.Snapshot(), dir_.string(), 4096)
+                   .has_value());
+  const auto eager = Open(dir_.string(), OpenMode::kEager);
+  const auto lazy = Open(dir_.string(), OpenMode::kMapped);
+  ASSERT_TRUE(eager.has_value()) << eager.error();
+  ASSERT_TRUE(lazy.has_value()) << lazy.error();
+  ASSERT_TRUE(lazy->MineWindow(1, ParameterSetting{0.02, 0.3}).has_value());
+  ASSERT_EQ(lazy->MaterializedSnapshot()->window_count(), 2u);
+  const std::string bytes = EncodeKnowledgeBase(*built.Snapshot());
+  EXPECT_EQ(EncodeKnowledgeBase(*lazy->Snapshot()), bytes);
+  EXPECT_EQ(EncodeKnowledgeBase(*eager->Snapshot()), bytes);
+  EXPECT_EQ(lazy->generation(), 2u);
 }
 
 TEST_F(KbBlocksTest, VerifyHashesCatchesEveryInjectedBlockCorruption) {

@@ -21,7 +21,9 @@
 #include "core/kb_open.h"
 #include "core/kb_storage.h"
 #include "core/tara_engine.h"
+#include "core/wal.h"
 #include "datagen/quest_generator.h"
+#include "hostile_segments.h"
 #include "txdb/evolving_database.h"
 
 namespace tara {
@@ -323,37 +325,72 @@ TEST_F(KbStorageTest, RefusesALeftoverTarakb2Directory) {
   EXPECT_TRUE(fs::exists(kb / "window-000001.seg"));
 }
 
+/// A fresh engine holding window 0 of `snapshot`, installed from its
+/// segment bytes.
+TaraEngine EngineWithFirstWindow(const KnowledgeBaseSnapshot& snapshot) {
+  TaraEngine engine(EngineOptions());
+  const std::vector<uint8_t> bytes = EncodeWindowSegment(snapshot, 0);
+  auto parsed = ParseWindowSegment(bytes.data(), bytes.size());
+  EXPECT_TRUE(parsed.has_value()) << parsed.error();
+  EXPECT_FALSE(engine
+                   .InstallWindowSegment(snapshot.segment(0).total_transactions,
+                                         *std::move(parsed))
+                   .has_value());
+  return engine;
+}
+
 // The segment codec fuzz: seeded single-byte flips and truncations of a
 // real window segment — the bytes the WAL, the replication record and
-// the block files carry. Every mutation must come back as a decoded
-// segment or a typed LoadError — never a crash, hang, or (under the ASan
-// preset) a leak. A flipped byte may land somewhere the codec
-// legitimately tolerates (a rule's count, say), so a successful decode
-// is acceptable; an abort is not.
-TEST(KbStorageFuzz, SingleByteFlipsNeverCrashTheSegmentDecoder) {
+// the block files carry — parsed and then installed onto an engine
+// holding the window before it. Every mutation must come back as an
+// installed window or a typed LoadError that left the engine unchanged —
+// never a crash, hang, or (under the ASan preset) a leak. A flipped byte
+// may land somewhere the codec legitimately tolerates (a rule's count,
+// say), so a successful install is acceptable; an abort is not.
+TEST(KbStorageFuzz, SingleByteFlipsNeverCrashTheSegmentInstall) {
   const TaraEngine engine = BuildEngine(MakeData(2), 2);
   const auto snapshot = engine.Snapshot();
   const std::vector<uint8_t> valid = EncodeWindowSegment(*snapshot, 1);
+  const uint64_t total = snapshot->segment(1).total_transactions;
   ASSERT_GT(valid.size(), 64u);
-  ASSERT_TRUE(
-      DecodeWindowSegment(valid.data(), valid.size(), snapshot->catalog())
-          .has_value());
+  const std::string before = Encode(EngineWithFirstWindow(*snapshot));
+  {
+    TaraEngine installed = EngineWithFirstWindow(*snapshot);
+    auto parsed = ParseWindowSegment(valid.data(), valid.size());
+    ASSERT_TRUE(parsed.has_value());
+    ASSERT_FALSE(installed.InstallWindowSegment(total, *std::move(parsed))
+                     .has_value());
+    EXPECT_EQ(Encode(installed), Encode(engine));
+  }
 
   Rng rng(0xF00DF00D);
+  int rejected = 0;
   for (int i = 0; i < 300; ++i) {
     std::vector<uint8_t> mutated = valid;
     const size_t pos = rng.NextBounded(mutated.size());
     mutated[pos] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
-    const auto decoded = DecodeWindowSegment(mutated.data(), mutated.size(),
-                                             snapshot->catalog());
-    if (!decoded.has_value()) {
-      EXPECT_EQ(decoded.error().code, LoadError::Code::kCorruptSegment);
-      EXPECT_FALSE(decoded.error().message.empty());
+    auto parsed = ParseWindowSegment(mutated.data(), mutated.size());
+    if (!parsed.has_value()) {
+      EXPECT_EQ(parsed.error().code, LoadError::Code::kCorruptSegment);
+      EXPECT_FALSE(parsed.error().message.empty());
+      ++rejected;
+      continue;
+    }
+    TaraEngine target = EngineWithFirstWindow(*snapshot);
+    const auto error = target.InstallWindowSegment(total, *std::move(parsed));
+    if (error.has_value()) {
+      EXPECT_EQ(error->code, LoadError::Code::kCorruptSegment);
+      EXPECT_EQ(target.window_count(), 1u);
+      EXPECT_EQ(Encode(target), before) << "a rejected install changed state";
+      ++rejected;
+    } else {
+      EXPECT_EQ(target.window_count(), 2u);
     }
   }
+  EXPECT_GT(rejected, 0);
 }
 
-TEST(KbStorageFuzz, TruncationsNeverCrashTheSegmentDecoder) {
+TEST(KbStorageFuzz, TruncationsNeverCrashTheSegmentParser) {
   const TaraEngine engine = BuildEngine(MakeData(2), 2);
   const auto snapshot = engine.Snapshot();
   const std::vector<uint8_t> valid = EncodeWindowSegment(*snapshot, 1);
@@ -362,22 +399,116 @@ TEST(KbStorageFuzz, TruncationsNeverCrashTheSegmentDecoder) {
   for (int i = 0; i < 50; ++i) {
     // A strict prefix can never be a whole segment.
     const size_t cut = rng.NextBounded(valid.size());
-    const auto decoded =
-        DecodeWindowSegment(valid.data(), cut, snapshot->catalog());
-    ASSERT_FALSE(decoded.has_value()) << "cut at " << cut;
-    EXPECT_EQ(decoded.error().code, LoadError::Code::kCorruptSegment);
+    const auto parsed = ParseWindowSegment(valid.data(), cut);
+    ASSERT_FALSE(parsed.has_value()) << "cut at " << cut;
+    EXPECT_EQ(parsed.error().code, LoadError::Code::kCorruptSegment);
   }
   // Every exact-boundary truncation near the tail as well, and one
   // trailing byte too many.
   for (size_t cut = valid.size() - 16; cut < valid.size(); ++cut) {
-    ASSERT_FALSE(DecodeWindowSegment(valid.data(), cut, snapshot->catalog())
-                     .has_value());
+    ASSERT_FALSE(ParseWindowSegment(valid.data(), cut).has_value());
   }
   std::vector<uint8_t> longer = valid;
   longer.push_back(0);
-  EXPECT_FALSE(DecodeWindowSegment(longer.data(), longer.size(),
-                                   snapshot->catalog())
-                   .has_value());
+  EXPECT_FALSE(ParseWindowSegment(longer.data(), longer.size()).has_value());
+}
+
+/// Installs each of `segments` (window ids 0, 1, …) onto `engine`.
+void InstallAll(TaraEngine* engine,
+                const std::vector<std::vector<uint8_t>>& segments) {
+  for (const std::vector<uint8_t>& bytes : segments) {
+    auto parsed = ParseWindowSegment(bytes.data(), bytes.size());
+    ASSERT_TRUE(parsed.has_value()) << parsed.error();
+    const auto error = engine->InstallWindowSegment(
+        testing_segments::kWindowTransactions, *std::move(parsed));
+    ASSERT_FALSE(error.has_value()) << *error;
+  }
+}
+
+// Segments that parse but describe no real commit (a zero count, an
+// antecedent count that wraps, a rule twice, new-rule contents already
+// interned or repeated, rule ids that skip or misorder) used to abort in
+// TarArchive::Add or silently renumber rules. The install must reject
+// each with kCorruptSegment and leave catalog, archive, roll-up tree and
+// segments as they were: a valid window installed right after lands
+// exactly as on an engine that never saw the hostile one.
+TEST(KbStorageHostile, InstallRejectsEveryHostileSegmentUnchanged) {
+  for (const auto& hostile : testing_segments::HostileSegments()) {
+    SCOPED_TRACE(hostile.name);
+    TaraEngine engine(EngineOptions());
+    InstallAll(&engine, hostile.prefix);
+    const std::string before = Encode(engine);
+    const size_t rules = engine.catalog().size();
+    const uint64_t archive_entries = engine.archive().entry_count();
+    const uint64_t generation = engine.generation();
+
+    auto parsed =
+        ParseWindowSegment(hostile.crafted.data(), hostile.crafted.size());
+    ASSERT_TRUE(parsed.has_value()) << parsed.error();
+    const auto error = engine.InstallWindowSegment(
+        testing_segments::kWindowTransactions, *std::move(parsed));
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->code, LoadError::Code::kCorruptSegment) << *error;
+    EXPECT_EQ(Encode(engine), before);
+    EXPECT_EQ(engine.catalog().size(), rules);
+    EXPECT_EQ(engine.archive().entry_count(), archive_entries);
+    EXPECT_EQ(engine.generation(), generation) << "a rejection published";
+
+    TaraEngine reference(EngineOptions());
+    InstallAll(&reference, hostile.prefix);
+    const auto next =
+        testing_segments::NextValidSegment(hostile.prefix.size());
+    InstallAll(&engine, {next});
+    InstallAll(&reference, {next});
+    EXPECT_EQ(Encode(engine), Encode(reference));
+    EXPECT_EQ(engine.archive().entry_count(),
+              reference.archive().entry_count());
+  }
+
+  // A blob naming another window than the next one is refused too.
+  TaraEngine engine(EngineOptions());
+  const auto blob = testing_segments::Segment(1, 0, {Rule{{1}, {2}}},
+                                              {{0, 5, 1}});
+  auto parsed = ParseWindowSegment(blob.data(), blob.size());
+  ASSERT_TRUE(parsed.has_value());
+  const auto error = engine.InstallWindowSegment(
+      testing_segments::kWindowTransactions, *std::move(parsed));
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->code, LoadError::Code::kCorruptSegment);
+  EXPECT_EQ(engine.window_count(), 0u);
+}
+
+// The same segments as crafted write-ahead records: replay installs the
+// valid records before the hostile one, then fails typed — no abort.
+TEST_F(KbStorageTest, WalReplayRejectsEveryHostileSegment) {
+  for (const auto& hostile : testing_segments::HostileSegments()) {
+    SCOPED_TRACE(hostile.name);
+    const std::string wal = (dir_ / ("wal_" + hostile.name)).string();
+    {
+      auto opened = WalWriter::Open(wal, EngineOptions(), 0, nullptr);
+      ASSERT_TRUE(opened.has_value()) << opened.error();
+      WalWriter& writer = opened.value();
+      for (const auto& bytes : hostile.prefix) {
+        ASSERT_FALSE(writer.Append(testing_segments::kWindowTransactions,
+                                   bytes)
+                         .has_value());
+      }
+      ASSERT_FALSE(writer.Append(testing_segments::kWindowTransactions,
+                                 hostile.crafted)
+                       .has_value());
+    }
+    TaraEngine engine(EngineOptions());
+    const auto replay = engine.AttachWal(wal);
+    ASSERT_FALSE(replay.has_value());
+    EXPECT_EQ(replay.error().code, LoadError::Code::kCorruptSegment)
+        << replay.error();
+    EXPECT_FALSE(engine.wal_attached());
+
+    TaraEngine reference(EngineOptions());
+    InstallAll(&reference, hostile.prefix);
+    EXPECT_EQ(Encode(engine), Encode(reference));
+    EXPECT_LE(engine.generation(), 1u) << "replay published per record";
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "server/replica.h"
 
 #include <fcntl.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -24,6 +25,7 @@
 #include <fstream>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -34,6 +36,7 @@
 #include "core/tara_engine.h"
 #include "core/wire_format.h"
 #include "datagen/quest_generator.h"
+#include "hostile_segments.h"
 #include "obs/metrics.h"
 #include "server/serving_bootstrap.h"
 #include "server/tara_client.h"
@@ -387,6 +390,87 @@ TEST_F(ReplicationTest, HandshakeRefusesMismatchedFloors) {
   ASSERT_TRUE(problem.has_value());
   EXPECT_NE(problem->find("different options"), std::string::npos)
       << *problem;
+}
+
+// Hostile segments on the stream: a stand-in primary hands a fresh
+// replica the valid records of each crafted case and then the crafted
+// one. The replica must reject it with the typed install error — never
+// abort — keep exactly the valid prefix, and report it through Status().
+TEST(ReplicaHostileSegments, CraftedRecordsAreRejectedWithoutAbort) {
+  const TaraEngine::Options engine_options = EngineOptions();
+  const auto view = [](const std::vector<uint8_t>& bytes) {
+    return std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                            bytes.size());
+  };
+  for (const auto& hostile : testing_segments::HostileSegments()) {
+    SCOPED_TRACE(hostile.name);
+    uint16_t port = 0;
+    auto listener = ListenTcp("127.0.0.1", 0, 4, &port);
+    ASSERT_TRUE(listener.has_value()) << listener.error();
+    std::thread primary([&] {
+      Socket stream(::accept(listener->fd(), nullptr, nullptr));
+      std::string error;
+      if (!stream.valid() || !SetSocketTimeouts(stream.fd(), 30000, &error) ||
+          ReadFrame(stream.fd(), kWireMaxPayloadBytes).status !=
+              FrameRead::Status::kOk) {
+        return;
+      }
+      ReplicaCheckpoint checkpoint;
+      checkpoint.min_support_floor = engine_options.min_support_floor;
+      checkpoint.min_confidence_floor = engine_options.min_confidence_floor;
+      checkpoint.max_itemset_size = engine_options.max_itemset_size;
+      checkpoint.build_content_index = engine_options.build_content_index;
+      checkpoint.window_count =
+          static_cast<uint32_t>(hostile.prefix.size() + 1);
+      std::string frames = EncodeReplicaCheckpointFrame(checkpoint);
+      WindowId window = 0;
+      for (const auto& bytes : hostile.prefix) {
+        frames += EncodeReplicaRecordFrame(
+            window, testing_segments::kWindowTransactions, window + 1,
+            view(bytes));
+        ++window;
+      }
+      frames += EncodeReplicaRecordFrame(
+          window, testing_segments::kWindowTransactions, window + 1,
+          view(hostile.crafted));
+      if (!WriteAll(stream.fd(), frames, &error)) return;
+      // Hold the stream open until the replica drops it.
+      (void)ReadFrame(stream.fd(), kWireMaxPayloadBytes);
+    });
+
+    ReplicaOptions options;
+    options.primary_port = port;
+    // Stay parked in backoff after the rejection instead of resubscribing.
+    options.backoff_initial_ms = 60000;
+    options.backoff_max_ms = 60000;
+    ReplicaEngine replica(options);
+    const auto problem = replica.Start();
+    ASSERT_FALSE(problem.has_value()) << *problem;
+    ReplicaEngine::Status status = replica.GetStatus();
+    const auto deadline = std::chrono::steady_clock::now() + kWait;
+    while (status.last_error.empty() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(5ms);
+      status = replica.GetStatus();
+    }
+    EXPECT_NE(status.last_error.find("corrupt"), std::string::npos)
+        << status.last_error;
+    EXPECT_EQ(status.records_applied, hostile.prefix.size());
+
+    TaraEngine reference(engine_options);
+    for (const auto& bytes : hostile.prefix) {
+      auto parsed = ParseWindowSegment(bytes.data(), bytes.size());
+      ASSERT_TRUE(parsed.has_value());
+      ASSERT_FALSE(reference
+                       .InstallWindowSegment(
+                           testing_segments::kWindowTransactions,
+                           *std::move(parsed))
+                       .has_value());
+    }
+    EXPECT_EQ(Encode(*replica.engine()), Encode(reference));
+    replica.Stop();
+    primary.join();
+  }
 }
 
 /// --- kill -9 fault matrix -------------------------------------------------
